@@ -47,6 +47,16 @@ def _add_space_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _config(args: argparse.Namespace) -> EvalConfig:
     rule = (
         BinarizeRule.equals(args.label)
@@ -124,9 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         default=None,
-        help="worker count (default: machine parallelism)",
+        help="worker count, at most one per case (default: machine parallelism)",
     )
     p.set_defaults(func=_cmd_evaluate)
 

@@ -39,7 +39,7 @@ from .overlap import (
 )
 from .stats import AnovaTable, GroupSample, SummaryStats, group_summary, one_way_anova
 from .surface import compare_surfaces
-from .volume import BinarizeRule, binarize, check_compatible, load_volume
+from .volume import BinarizeRule, binarize_pair, load_volume
 
 # Canonical metric column order; also the metric names accepted by the
 # ANOVA entry points and used as CSV headers.
@@ -265,13 +265,17 @@ def parse_manifest(path: str | Path) -> list[CaseSpec]:
 
 
 def compute_record(case: CaseSpec, config: EvalConfig) -> MetricRecord:
-    """Compute all nine metrics for one case; raises on any failure."""
+    """Compute all nine metrics for one case; raises on any failure.
+
+    Counts, volumes, surfaces and distance fields all run on the bounding
+    box of the union of the two masks (see :func:`binarize_pair`), not on
+    the full grid.
+    """
     vol_a = load_volume(case.auto_path)
     vol_m = load_volume(case.manual_path)
     rule = case.binarize_rule or config.default_rule
-    mask_a = binarize(vol_a, rule)
-    mask_m = binarize(vol_m, rule)
-    check_compatible(mask_a, mask_m)
+    mask_a, mask_m = binarize_pair(vol_a, vol_m, rule)
+    del vol_a, vol_m  # only the cropped masks are needed from here on
     counts = confusion_counts(mask_a, mask_m)
     v_auto = volume(mask_a, config.unit)
     v_manual = volume(mask_m, config.unit)
@@ -394,9 +398,9 @@ def evaluate_cohort(
     """
     if not cases:
         raise ValueError("cohort has no cases")
-    workers = config.threads or os.cpu_count() or 1
+    workers = min(config.threads or os.cpu_count() or 1, len(cases))
     jobs = [(case, config) for case in cases]
-    if workers == 1 or len(cases) == 1:
+    if workers == 1:
         records = [evaluate_case(case, config) for case in cases]
     else:
         chunksize = max(1, len(jobs) // (workers * 4))

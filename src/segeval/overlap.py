@@ -62,12 +62,23 @@ class OverlapResult:
 
 
 def confusion_counts(a: BinaryMask, m: BinaryMask) -> ConfusionCounts:
-    """Tally TP = |A∩M|, FP = |A∖M|, FN = |M∖A|, TN = remainder."""
+    """Tally TP = |A∩M|, FP = |A∖M|, FN = |M∖A|, TN = remainder.
+
+    TP is counted where the two masks' boxes overlap, FP and FN follow from
+    the mask counts, and TN from the full grid size, so full-grid and
+    cropped masks give the same tallies.
+    """
     check_compatible(a, m)
-    tp = int(np.count_nonzero(a.bits & m.bits))
-    fp = int(np.count_nonzero(a.bits & ~m.bits))
-    fn = int(np.count_nonzero(~a.bits & m.bits))
-    total = a.bits.size
+    lo = np.maximum(a.origin, m.origin)
+    hi = np.minimum(np.add(a.origin, a.bits.shape), np.add(m.origin, m.bits.shape))
+    tp = 0
+    if (hi > lo).all():
+        a_part = a.bits[tuple(slice(l - o, h - o) for l, h, o in zip(lo, hi, a.origin))]
+        m_part = m.bits[tuple(slice(l - o, h - o) for l, h, o in zip(lo, hi, m.origin))]
+        tp = int(np.count_nonzero(a_part & m_part))
+    fp = a.count - tp
+    fn = m.count - tp
+    total = a.dims[0] * a.dims[1] * a.dims[2]
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=total - tp - fp - fn)
 
 

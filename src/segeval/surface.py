@@ -9,11 +9,16 @@ space (index × spacing per axis).
 Two interchangeable routes compute the distance measures:
 
 * an exact Euclidean distance transform (:func:`distance_field`) sampled at
-  the opposing surface — O(grid) per field;
+  the opposing surface, run on the bounding box of the two surfaces. Each
+  of its three axis passes loops in Python over the positions along that
+  axis, with vector work over the whole box at each position, so two fields
+  cost about ``_EDT_PER_VOXEL``·(box voxels) + ``_EDT_PER_AXIS_STEP``·(sum
+  of box sides), in units of one brute-force pair;
 * exhaustive pairwise distances (:func:`surface_metrics_bruteforce`) —
-  O(|S_A|·|S_R|), the testing oracle for the field route.
+  |S_A|·|S_R| pairs, also the testing oracle for the field route.
 
-:func:`compare_surfaces` picks whichever is cheaper; both satisfy the same
+:func:`compare_surfaces` takes brute force when the pair count is at most
+the field route's cost, else the field route. Both satisfy the same
 contract, so the choice is unobservable except in runtime.
 """
 
@@ -26,6 +31,12 @@ import numpy as np
 
 from .errors import EmptyMask, EmptySurface
 from .volume import BinaryMask
+
+# Cost of the two-field EDT in brute-force pairs, fitted on balls of radius
+# 4-20 on a 2-vCPU Xeon VM (numpy 2.4): about 1.4 µs per box voxel and
+# 0.16 ms per axis position, against 20 ns per pair.
+_EDT_PER_VOXEL = 64
+_EDT_PER_AXIS_STEP = 8192
 
 # Stand-in for +inf inside the envelope passes: large enough to dominate any
 # reachable squared distance, small enough that finite increments are
@@ -128,10 +139,24 @@ def extract_surface(
         raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
     if mask.count == 0:
         raise EmptyMask("cannot extract the surface of an empty mask")
-    interior = mask.bits.copy()
+    interior = mask.bits.copy(order="K")  # keep the layout: mixed layouts run strided
     for offset in offsets:
         interior &= _neighbor_shift(mask.bits, offset)
-    indices = np.argwhere(mask.bits & ~interior).astype(np.int64)
+    # the box edge is exact as "outside": no member lies beyond it
+    boundary = mask.bits & ~interior
+    # Flat indices in memory order come far faster than np.argwhere's
+    # multi-indices (1 vs 100 ms on a Fortran-order MRI grid); the sort
+    # restores argwhere's index order.
+    shape = boundary.shape
+    if boundary.flags.f_contiguous:
+        flat = np.flatnonzero(boundary.ravel(order="F"))
+        flat = np.sort(np.ravel_multi_index(np.unravel_index(flat, shape, order="F"), shape))
+    else:
+        flat = np.flatnonzero(boundary)
+    # np.argwhere's values and column-major layout, which the brute-force
+    # route's broadcast sums run fastest on
+    indices = np.transpose(np.unravel_index(flat, shape)).astype(np.int64)
+    indices += np.asarray(mask.origin, dtype=np.int64)
     return SurfacePointSet(indices=indices, space=space, spacing=mask.spacing)
 
 
@@ -301,22 +326,24 @@ def compare_surfaces(
 ) -> SurfaceDistanceResult:
     """Extract both surfaces and compute the four distance measures.
 
-    Routes to the distance-field path when the pairwise product exceeds the
-    grid size, else to brute force. The field computation is confined to
-    the bounding box of the two surfaces; every site and query point lies
-    inside it, so the crop cannot change any nearest-point distance.
+    The field computation is confined to the bounding box of the two
+    surfaces; every site and query point lies inside it, so the crop cannot
+    change any nearest-point distance. Routes to brute force when the
+    pairwise product does not exceed the field route's cost on that box
+    (see the module docstring), else to the distance-field path.
     """
     s_a = extract_surface(mask_a, space=space, connectivity=connectivity)
     s_r = extract_surface(mask_r, space=space, connectivity=connectivity)
-    grid_voxels = mask_a.dims[0] * mask_a.dims[1] * mask_a.dims[2]
-    if s_a.count * s_r.count <= grid_voxels:
-        return surface_metrics_bruteforce(s_a, s_r)
     both = np.vstack([s_a.indices, s_r.indices])
     lo = both.min(axis=0)
     hi = both.max(axis=0)
     sub_dims = tuple(int(h - l + 1) for l, h in zip(lo, hi))
+    # both routes see box-local coordinates, so translating a pair changes no bit
     s_a_local = SurfacePointSet(indices=s_a.indices - lo, space=space, spacing=s_a.spacing)
     s_r_local = SurfacePointSet(indices=s_r.indices - lo, space=space, spacing=s_r.spacing)
+    field_cost = _EDT_PER_VOXEL * math.prod(sub_dims) + _EDT_PER_AXIS_STEP * sum(sub_dims)
+    if s_a.count * s_r.count <= field_cost:
+        return surface_metrics_bruteforce(s_a_local, s_r_local)
     field_a = distance_field(s_a_local, sub_dims, mask_a.spacing)
     field_r = distance_field(s_r_local, sub_dims, mask_r.spacing)
     return surface_metrics(s_a_local, s_r_local, field_a, field_r)

@@ -12,6 +12,10 @@ Two on-disk formats are read, both optionally gzip-compressed:
 
 Orientation matrices are ignored: both masks of a comparison pair are
 assumed co-registered on the same grid.
+
+:func:`binarize_pair` is the case pipeline's entry point: it binarizes both
+volumes of a pair and crops them to the bounding box of their union, so every
+later step works on that box instead of the full grid.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import gzip
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -62,15 +67,21 @@ class LabelVolume:
 
 @dataclass(frozen=True, eq=False)
 class BinaryMask:
-    """Membership flags on the grid of the volume it was derived from."""
+    """Membership flags on the grid of the volume it was derived from.
+
+    ``bits`` covers either the whole grid or a box of it whose lowest corner
+    sits at ``origin``; voxels outside the box are non-members. ``dims``
+    is always the full grid.
+    """
 
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
     bits: np.ndarray
+    origin: tuple[int, int, int] = (0, 0, 0)
 
-    @property
+    @cached_property
     def count(self) -> int:
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))
 
 
 @dataclass(frozen=True)
@@ -255,24 +266,55 @@ def _parse_rawvol(raw: bytes, path: str):
     return dims, spacing, data
 
 
+def _apply_rule(data: np.ndarray, rule: BinarizeRule) -> np.ndarray:
+    if rule.kind == "equals":
+        return data == rule.value
+    if rule.kind == "greater_than":
+        return data > rule.value
+    if rule.kind == "nonzero":
+        return data != 0
+    raise ValueError(f"unknown binarization rule kind {rule.kind!r}")
+
+
 def binarize(vol: LabelVolume, rule: BinarizeRule) -> BinaryMask:
     """Apply a membership rule to the (scale-adjusted) voxel values.
 
     An empty result is legal; downstream metrics decide how to treat it.
     """
-    if rule.kind == "equals":
-        bits = vol.data == rule.value
-    elif rule.kind == "greater_than":
-        bits = vol.data > rule.value
-    elif rule.kind == "nonzero":
-        bits = vol.data != 0
-    else:
-        raise ValueError(f"unknown binarization rule kind {rule.kind!r}")
-    return BinaryMask(dims=vol.dims, spacing=vol.spacing, bits=np.ascontiguousarray(bits))
+    return BinaryMask(dims=vol.dims, spacing=vol.spacing, bits=_apply_rule(vol.data, rule))
 
 
-def check_compatible(a: BinaryMask, m: BinaryMask) -> CompatibilityReport:
-    """Verify the two masks live on the same grid.
+def binarize_pair(
+    vol_a: LabelVolume, vol_m: LabelVolume, rule: BinarizeRule
+) -> tuple[BinaryMask, BinaryMask]:
+    """Binarize a co-registered pair, both cropped to the box around their union.
+
+    The crop is exact without padding: no member of either mask lies outside
+    the box, and the grid edge already counts as "outside" for surfaces.
+    The masks keep the full ``dims``, so TN still counts the whole grid.
+    Both-empty pairs yield an empty box.
+    """
+    check_compatible(vol_a, vol_m)
+    bits_a = _apply_rule(vol_a.data, rule)
+    bits_m = _apply_rule(vol_m.data, rule)
+    union = bits_a | bits_m
+    box = []
+    for axis in range(3):
+        others = tuple(ax for ax in range(3) if ax != axis)
+        hits = np.flatnonzero(union.any(axis=others))
+        box.append(slice(int(hits[0]), int(hits[-1]) + 1) if hits.size else slice(0, 0))
+    box = tuple(box)
+    origin = tuple(sl.start for sl in box)
+    # copies, so the full-grid arrays are freed once this returns
+    mask_a = BinaryMask(vol_a.dims, vol_a.spacing, bits_a[box].copy(), origin)
+    mask_m = BinaryMask(vol_m.dims, vol_m.spacing, bits_m[box].copy(), origin)
+    return mask_a, mask_m
+
+
+def check_compatible(
+    a: BinaryMask | LabelVolume, m: BinaryMask | LabelVolume
+) -> CompatibilityReport:
+    """Verify the two masks (or volumes) live on the same grid.
 
     Dims must match exactly; per-axis spacing must agree within a relative
     tolerance of ``SPACING_RTOL``. Both failures are fatal because voxelwise

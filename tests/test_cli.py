@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from helpers import build_cohort, sphere_bits, write_rawvol
 
-from segeval.cli import main
+from segeval import cohort
+from segeval.cli import build_parser, main
 from segeval.cohort import METRIC_NAMES
 from segeval.reporting import read_metrics_csv, read_volumes_csv
 
@@ -102,6 +103,37 @@ class TestEvaluateCommand:
                              "boxplot.json", "scatter.json")
             }
         assert outputs["r1"] == outputs["r2"] == outputs["r3"]
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_threads_below_one_rejected_at_parsing(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["evaluate", "m.csv", "out", "--threads", value])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_pool_capped_at_case_count(self, tmp_path, capsys, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cohort, "ProcessPoolExecutor", InProcessPool)
+        manifest = build_cohort(tmp_path / "cohort", n_subjects=1,
+                                methods=("alpha", "beta"),
+                                structures=("left_hippocampus",))
+        out = tmp_path / "out"
+        assert main(["evaluate", str(manifest), str(out), "--threads", "64"]) == 0
+        assert sizes == [2]
 
     def test_config_comment_present(self, tmp_path, capsys):
         manifest = build_cohort(tmp_path / "cohort", n_subjects=1)

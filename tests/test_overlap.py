@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from helpers import enumerate_confusion, make_mask, random_bits
+from helpers import enumerate_confusion, make_mask, make_volume, random_bits
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -24,6 +24,7 @@ from segeval.overlap import (
     similarity,
     volume,
 )
+from segeval.volume import BinarizeRule, BinaryMask, binarize, binarize_pair
 
 counts_nonempty = st.tuples(
     st.integers(0, 500), st.integers(0, 500), st.integers(0, 500), st.integers(0, 500)
@@ -60,6 +61,72 @@ class TestConfusionCounts:
             m = random_bits(rng, (6, 5, 4), rng.uniform(0, 0.6), nonempty=False)
             c = confusion_counts(make_mask(a), make_mask(m))
             assert (c.tp, c.fp, c.fn, c.tn) == enumerate_confusion(a, m)
+
+
+def _full_and_cropped(a_bits, m_bits, spacing=(1.0, 1.0, 1.0)):
+    vol_a = make_volume(a_bits.astype(np.uint8), spacing)
+    vol_m = make_volume(m_bits.astype(np.uint8), spacing)
+    rule = BinarizeRule.nonzero()
+    full = (binarize(vol_a, rule), binarize(vol_m, rule))
+    return full, binarize_pair(vol_a, vol_m, rule)
+
+
+def _sparse_bits(rng, dims=(12, 11, 10)):
+    """Random members confined to a random sub-box, so the crop is a real one."""
+    bits = np.zeros(dims, dtype=bool)
+    lo = [int(rng.integers(0, n // 2)) for n in dims]
+    hi = [int(rng.integers(l + 1, n + 1)) for l, n in zip(lo, dims)]
+    box = tuple(slice(l, h) for l, h in zip(lo, hi))
+    bits[box] = random_bits(rng, bits[box].shape, rng.uniform(0.1, 0.7))
+    return bits
+
+
+class TestCroppedMasks:
+    def test_counts_and_volumes_match_the_full_grid(self, rng):
+        spacing = (0.781, 0.781, 2.0)
+        for _ in range(30):
+            a, m = _sparse_bits(rng), _sparse_bits(rng)
+            (full_a, full_m), (crop_a, crop_m) = _full_and_cropped(a, m, spacing)
+            c_full = confusion_counts(full_a, full_m)
+            c_crop = confusion_counts(crop_a, crop_m)
+            assert (c_crop.tp, c_crop.fp, c_crop.fn, c_crop.tn) == (
+                c_full.tp, c_full.fp, c_full.fn, c_full.tn
+            )
+            for unit in ("voxels", "mm3"):
+                assert volume(crop_a, unit) == volume(full_a, unit)
+                assert volume(crop_m, unit) == volume(full_m, unit)
+
+    def test_masks_on_different_boxes(self, rng):
+        for _ in range(20):
+            a, m = _sparse_bits(rng), _sparse_bits(rng)
+            members = np.argwhere(a)
+            lo, hi = members.min(axis=0), members.max(axis=0) + 1
+            own_box = BinaryMask(
+                dims=a.shape,
+                spacing=(1.0, 1.0, 1.0),
+                bits=a[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]],
+                origin=tuple(int(v) for v in lo),
+            )
+            c = confusion_counts(own_box, make_mask(m))
+            assert (c.tp, c.fp, c.fn, c.tn) == enumerate_confusion(a, m)
+            c = confusion_counts(make_mask(m), own_box)
+            assert (c.tp, c.fp, c.fn, c.tn) == enumerate_confusion(m, a)
+
+    def test_empty_pairs_raise_as_on_the_full_grid(self):
+        manual = np.zeros((8, 8, 8), dtype=bool)
+        manual[2:5, 3:6, 4:6] = True
+        empty = np.zeros_like(manual)
+        for a, m, score, error in (
+            (empty, manual, precision, EmptyAutomaticMask),
+            (empty, empty, dice, BothMasksEmpty),
+            (empty, empty, similarity, BothMasksEmpty),
+        ):
+            (full_a, full_m), (crop_a, crop_m) = _full_and_cropped(a, m)
+            with pytest.raises(error) as on_full:
+                score(confusion_counts(full_a, full_m))
+            with pytest.raises(error) as on_crop:
+                score(confusion_counts(crop_a, crop_m))
+            assert str(on_crop.value) == str(on_full.value)
 
 
 class TestScores:

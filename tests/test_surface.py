@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from helpers import make_mask, random_bits, sphere_bits
+from helpers import make_mask, make_volume, random_bits, sphere_bits, write_rawvol
 
+from segeval import surface
+from segeval.cohort import CaseSpec, EvalConfig, compute_record
 from segeval.errors import EmptyMask, EmptySurface
 from segeval.surface import (
     SurfacePointSet,
@@ -16,12 +18,20 @@ from segeval.surface import (
     surface_metrics,
     surface_metrics_bruteforce,
 )
+from segeval.volume import BinarizeRule, binarize, binarize_pair
 
 
 def _point_set(points, space="index", spacing=(1.0, 1.0, 1.0)):
     return SurfacePointSet(
         indices=np.asarray(points, dtype=np.int64), space=space, spacing=spacing
     )
+
+
+def _must_not_run(route):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"the {route} route ran")
+
+    return fail
 
 
 class TestExtractSurface:
@@ -63,6 +73,22 @@ class TestExtractSurface:
             set6 = {tuple(p) for p in extract_surface(make_mask(bits), connectivity=6).indices}
             set26 = {tuple(p) for p in extract_surface(make_mask(bits), connectivity=26).indices}
             assert set6 <= set26
+
+    def test_index_order_is_the_same_for_every_memory_layout(self, rng):
+        for _ in range(10):
+            bits = random_bits(rng, tuple(int(n) for n in rng.integers(1, 9, size=3)), 0.5)
+            # oracle: a voxel is interior when all six neighbors, padded with False, are members
+            padded = np.pad(bits, 1)
+            n0, n1, n2 = bits.shape
+            interior = bits.copy()
+            for dx, dy, dz in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)):
+                interior &= padded[1 + dx:1 + dx + n0, 1 + dy:1 + dy + n1, 1 + dz:1 + dz + n2]
+            expected = np.argwhere(bits & ~interior)
+            strided = np.zeros((n0, 2 * n1, n2), dtype=bool)
+            strided[:, ::2, :] = bits
+            for layout in (bits, np.asfortranarray(bits), strided[:, ::2, :]):
+                got = extract_surface(make_mask(layout)).indices
+                np.testing.assert_array_equal(got, expected)
 
     def test_empty_mask(self):
         with pytest.raises(EmptyMask):
@@ -252,16 +278,34 @@ class TestOracleEquivalence:
 
 
 class TestCompareSurfacesEngine:
-    def test_matches_bruteforce_when_field_path_triggers(self, rng):
+    def test_matches_bruteforce_when_field_path_triggers(self, rng, monkeypatch):
         dims = (16, 16, 16)
         a_bits = random_bits(rng, dims, 0.4)
         r_bits = random_bits(rng, dims, 0.4)
         a_mask, r_mask = make_mask(a_bits), make_mask(r_bits)
-        s_a = extract_surface(a_mask)
-        s_r = extract_surface(r_mask)
-        assert s_a.count * s_r.count > 16**3  # engine must take the field path
+        oracle = surface_metrics_bruteforce(extract_surface(a_mask), extract_surface(r_mask))
+        monkeypatch.setattr(surface, "surface_metrics_bruteforce", _must_not_run("brute-force"))
         engine = compare_surfaces(a_mask, r_mask)
-        oracle = surface_metrics_bruteforce(s_a, s_r)
+        for name in ("hausdorff", "rms", "assd", "mean_distance"):
+            assert abs(getattr(engine, name) - getattr(oracle, name)) <= 1e-9
+
+    def test_far_apart_voxels_take_bruteforce(self, monkeypatch):
+        # the surface box is the whole 64³ grid, but there is a single pair
+        bits_a = np.zeros((64, 64, 64), dtype=bool)
+        bits_a[0, 0, 0] = True
+        bits_r = np.zeros((64, 64, 64), dtype=bool)
+        bits_r[63, 63, 63] = True
+        monkeypatch.setattr(surface, "distance_field", _must_not_run("field"))
+        res = compare_surfaces(make_mask(bits_a), make_mask(bits_r))
+        assert res.hausdorff == pytest.approx(63 * math.sqrt(3), abs=1e-12)
+
+    def test_ball_pair_takes_field_path(self, monkeypatch):
+        dims = (96, 96, 96)
+        a_mask = make_mask(sphere_bits(dims, (44, 48, 48), 12))
+        r_mask = make_mask(sphere_bits(dims, (48, 50, 48), 12))
+        oracle = surface_metrics_bruteforce(extract_surface(a_mask), extract_surface(r_mask))
+        monkeypatch.setattr(surface, "surface_metrics_bruteforce", _must_not_run("brute-force"))
+        engine = compare_surfaces(a_mask, r_mask)
         for name in ("hausdorff", "rms", "assd", "mean_distance"):
             assert abs(getattr(engine, name) - getattr(oracle, name)) <= 1e-9
 
@@ -291,3 +335,62 @@ class TestCompareSurfacesEngine:
         good = make_mask(np.ones((3, 3, 3), dtype=bool))
         with pytest.raises(EmptyMask):
             compare_surfaces(good, make_mask(np.zeros((3, 3, 3), dtype=bool)))
+
+
+def _sparse_pair(rng, dims=(18, 17, 16)):
+    """Two random masks confined to random sub-boxes of a larger grid."""
+    pair = []
+    for _ in range(2):
+        bits = np.zeros(dims, dtype=np.uint8)
+        lo = [int(rng.integers(0, n // 2)) for n in dims]
+        hi = [int(rng.integers(l + 2, n + 1)) for l, n in zip(lo, dims)]
+        box = tuple(slice(l, h) for l, h in zip(lo, hi))
+        bits[box] = random_bits(rng, bits[box].shape, rng.uniform(0.2, 0.8))
+        pair.append(bits)
+    return pair
+
+
+class TestCroppedMasks:
+    def test_surface_indices_match_the_full_grid(self, rng):
+        rule = BinarizeRule.nonzero()
+        for _ in range(15):
+            vols = [make_volume(bits) for bits in _sparse_pair(rng)]
+            cropped = binarize_pair(*vols, rule)
+            for vol, crop in zip(vols, cropped):
+                full = binarize(vol, rule)
+                for connectivity in (6, 26):
+                    np.testing.assert_array_equal(
+                        extract_surface(crop, connectivity=connectivity).indices,
+                        extract_surface(full, connectivity=connectivity).indices,
+                    )
+
+    def test_distances_match_the_full_grid(self, rng):
+        rule = BinarizeRule.nonzero()
+        for _ in range(8):
+            vols = [make_volume(bits, (0.781, 0.781, 2.0)) for bits in _sparse_pair(rng)]
+            full = [binarize(vol, rule) for vol in vols]
+            cropped = binarize_pair(*vols, rule)
+            for space in ("index", "physical"):
+                assert compare_surfaces(*cropped, space=space) == compare_surfaces(
+                    *full, space=space
+                )
+
+    @pytest.mark.parametrize("auto_empty, manual_empty", [(True, False), (True, True)])
+    def test_empty_pairs_raise_as_on_the_full_grid(self, tmp_path, auto_empty, manual_empty):
+        ball = sphere_bits((9, 9, 9), (4, 4, 4), 2).astype(np.uint8)
+        empty = np.zeros_like(ball)
+        auto = empty if auto_empty else ball
+        manual = empty if manual_empty else ball
+        full = [binarize(make_volume(bits), BinarizeRule.nonzero()) for bits in (auto, manual)]
+        with pytest.raises(EmptyMask) as on_full:
+            compare_surfaces(*full)
+        case = CaseSpec(
+            subject_id="s",
+            method="m",
+            structure="left",
+            auto_path=str(write_rawvol(tmp_path / "a.rawvol", auto)),
+            manual_path=str(write_rawvol(tmp_path / "m.rawvol", manual)),
+        )
+        with pytest.raises(EmptyMask) as in_pipeline:
+            compute_record(case, EvalConfig())
+        assert str(in_pipeline.value) == str(on_full.value)

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import gzip
+import math
+import tempfile
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import make_volume, nifti_bytes, rawvol_bytes, write_nifti, write_rawvol
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from segeval.cohort import CaseSpec, EvalConfig, compute_record
 from segeval.errors import (
     CorruptFile,
     GridMismatch,
@@ -14,7 +21,14 @@ from segeval.errors import (
     UnsupportedDatatype,
     UnsupportedFormat,
 )
-from segeval.volume import BinarizeRule, binarize, check_compatible, load_volume
+from segeval.overlap import confusion_counts
+from segeval.volume import (
+    BinarizeRule,
+    binarize,
+    binarize_pair,
+    check_compatible,
+    load_volume,
+)
 
 
 def _arange_vol(dims, dtype=np.uint8):
@@ -186,6 +200,116 @@ class TestBinarize:
         mask = binarize(vol, BinarizeRule.nonzero())
         assert mask.dims == (2, 3, 4)
         assert mask.spacing == (0.781, 0.781, 2.0)
+
+    def test_keeps_the_native_fortran_layout(self, tmp_path):
+        data = _arange_vol((6, 5, 4))
+        vol = load_volume(write_nifti(tmp_path / "v.nii", data))
+        mask = binarize(vol, BinarizeRule.greater_than(100))
+        assert mask.bits.flags.f_contiguous
+        np.testing.assert_array_equal(mask.bits, data > 100)
+
+    def test_count_is_computed_once(self):
+        mask = binarize(make_volume(np.eye(4)[:, :, None]), BinarizeRule.nonzero())
+        assert mask.count == 4
+        assert mask.__dict__["count"] == 4  # cached on the instance
+
+
+class TestBinarizePair:
+    def test_crops_to_union_bounding_box(self):
+        a = np.zeros((10, 9, 8), dtype=np.uint8)
+        m = np.zeros((10, 9, 8), dtype=np.uint8)
+        a[2, 3, 4] = 1
+        m[5, 1, 6] = 1
+        m[4, 7, 5] = 1
+        mask_a, mask_m = binarize_pair(
+            make_volume(a), make_volume(m), BinarizeRule.nonzero()
+        )
+        for mask, full in ((mask_a, a), (mask_m, m)):
+            assert mask.dims == (10, 9, 8)
+            assert mask.origin == (2, 1, 4)
+            assert mask.bits.shape == (4, 7, 3)
+            np.testing.assert_array_equal(mask.bits, full[2:6, 1:8, 4:7] != 0)
+
+    def test_both_empty_gives_an_empty_box(self):
+        zeros = make_volume(np.zeros((4, 4, 4), dtype=np.uint8))
+        mask_a, mask_m = binarize_pair(zeros, zeros, BinarizeRule.nonzero())
+        assert mask_a.count == mask_m.count == 0
+        assert mask_a.dims == (4, 4, 4)
+        c = confusion_counts(mask_a, mask_m)
+        assert (c.tp, c.fp, c.fn, c.tn) == (0, 0, 0, 64)
+
+    def test_rule_applies_to_both(self):
+        a = make_volume(np.array([[[0, 17, 53, 17]]], dtype=np.int32))
+        m = make_volume(np.array([[[17, 53, 0, 0]]], dtype=np.int32))
+        mask_a, mask_m = binarize_pair(a, m, BinarizeRule.equals(17))
+        assert mask_a.origin == (0, 0, 0)
+        np.testing.assert_array_equal(mask_a.bits, [[[False, True, False, True]]])
+        np.testing.assert_array_equal(mask_m.bits, [[[True, False, False, False]]])
+
+    def test_grid_mismatch_checked_on_the_volumes(self):
+        a = make_volume(np.ones((4, 4, 4)))
+        m = make_volume(np.ones((4, 4, 5)))
+        with pytest.raises(GridMismatch, match=r"\(4,4,4\) vs \(4,4,5\)"):
+            binarize_pair(a, m, BinarizeRule.nonzero())
+
+    def test_spacing_mismatch_checked_on_the_volumes(self):
+        a = make_volume(np.ones((4, 4, 4)), (0.781, 0.781, 2.0))
+        m = make_volume(np.ones((4, 4, 4)), (0.78, 0.78, 2.0))
+        with pytest.raises(SpacingMismatch, match="axis x"):
+            binarize_pair(a, m, BinarizeRule.nonzero())
+
+
+@st.composite
+def _embedded_pairs(draw):
+    """A random nonempty mask pair, and a zero margin to embed it in."""
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pair = []
+    for _ in range(2):
+        bits = rng.random(shape) < draw(st.floats(0.05, 0.9))
+        bits[tuple(rng.integers(0, n) for n in shape)] = True
+        pair.append(bits.astype(np.uint8))
+    before = tuple(draw(st.integers(0, 5)) for _ in range(3))
+    after = tuple(draw(st.integers(0, 5)) for _ in range(3))
+    config = EvalConfig(
+        space=draw(st.sampled_from(("index", "physical"))),
+        connectivity=draw(st.sampled_from((6, 26))),
+        threads=1,
+    )
+    return pair, before, after, config
+
+
+def _record(root: Path, name: str, auto, manual, config):
+    spacing = (0.781, 0.781, 2.0)
+    case = CaseSpec(
+        subject_id="s",
+        method="m",
+        structure="left",
+        auto_path=str(write_rawvol(root / f"{name}_a.rawvol", auto, spacing)),
+        manual_path=str(write_rawvol(root / f"{name}_m.rawvol", manual, spacing)),
+    )
+    return asdict(compute_record(case, config))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_embedded_pairs())
+def test_embedding_in_a_larger_empty_grid_changes_no_metric(example):
+    (auto, manual), before, after, config = example
+    margin = tuple(zip(before, after))
+    big_auto = np.pad(auto, margin)
+    big_manual = np.pad(manual, margin)
+    with tempfile.TemporaryDirectory() as tmp:
+        small = _record(Path(tmp), "small", auto, manual, config)
+        big = _record(Path(tmp), "big", big_auto, big_manual, config)
+    assert big == small
+
+    rule = BinarizeRule.nonzero()
+    c_small = confusion_counts(*binarize_pair(make_volume(auto), make_volume(manual), rule))
+    c_big = confusion_counts(
+        *binarize_pair(make_volume(big_auto), make_volume(big_manual), rule)
+    )
+    assert (c_big.tp, c_big.fp, c_big.fn) == (c_small.tp, c_small.fp, c_small.fn)
+    assert c_big.tn - c_small.tn == math.prod(big_auto.shape) - math.prod(auto.shape)
 
 
 class TestCheckCompatible:
