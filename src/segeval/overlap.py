@@ -64,18 +64,17 @@ class OverlapResult:
 def confusion_counts(a: BinaryMask, m: BinaryMask) -> ConfusionCounts:
     """Tally TP = |A∩M|, FP = |A∖M|, FN = |M∖A|, TN = remainder.
 
-    TP is counted where the two masks' boxes overlap, FP and FN follow from
-    the mask counts, and TN from the full grid size, so full-grid and
-    cropped masks give the same tallies.
+    Both masks must cover the same box: the full grid (:func:`binarize`) or
+    the pair's union box (:func:`binarize_pair`). TN comes from the full grid
+    size, so full-grid and cropped pairs give the same tallies.
     """
     check_compatible(a, m)
-    lo = np.maximum(a.origin, m.origin)
-    hi = np.minimum(np.add(a.origin, a.bits.shape), np.add(m.origin, m.bits.shape))
-    tp = 0
-    if (hi > lo).all():
-        a_part = a.bits[tuple(slice(l - o, h - o) for l, h, o in zip(lo, hi, a.origin))]
-        m_part = m.bits[tuple(slice(l - o, h - o) for l, h, o in zip(lo, hi, m.origin))]
-        tp = int(np.count_nonzero(a_part & m_part))
+    if a.origin != m.origin or a.bits.shape != m.bits.shape:
+        raise ValueError(
+            f"masks cover different boxes: {a.bits.shape} at {a.origin} "
+            f"vs {m.bits.shape} at {m.origin}"
+        )
+    tp = int(np.count_nonzero(a.bits & m.bits))
     fp = a.count - tp
     fn = m.count - tp
     total = a.dims[0] * a.dims[1] * a.dims[2]

@@ -9,16 +9,13 @@ space (index × spacing per axis).
 Two interchangeable routes compute the distance measures:
 
 * an exact Euclidean distance transform (:func:`distance_field`) sampled at
-  the opposing surface, run on the bounding box of the two surfaces. Each
-  of its three axis passes loops in Python over the positions along that
-  axis, with vector work over the whole box at each position, so two fields
-  cost about ``_EDT_PER_VOXEL``·(box voxels) + ``_EDT_PER_AXIS_STEP``·(sum
-  of box sides), in units of one brute-force pair;
+  the opposing surface, run on the bounding box of the two surfaces, so its
+  work grows with the voxels of that box;
 * exhaustive pairwise distances (:func:`surface_metrics_bruteforce`) —
   |S_A|·|S_R| pairs, also the testing oracle for the field route.
 
 :func:`compare_surfaces` takes brute force when the pair count is at most
-the field route's cost, else the field route. Both satisfy the same
+the number of box voxels, else the field route. Both satisfy the same
 contract, so the choice is unobservable except in runtime.
 """
 
@@ -31,12 +28,6 @@ import numpy as np
 
 from .errors import EmptyMask, EmptySurface
 from .volume import BinaryMask
-
-# Cost of the two-field EDT in brute-force pairs, fitted on balls of radius
-# 4-20 on a 2-vCPU Xeon VM (numpy 2.4): about 1.4 µs per box voxel and
-# 0.16 ms per axis position, against 20 ns per pair.
-_EDT_PER_VOXEL = 64
-_EDT_PER_AXIS_STEP = 8192
 
 # Stand-in for +inf inside the envelope passes: large enough to dominate any
 # reachable squared distance, small enough that finite increments are
@@ -143,19 +134,7 @@ def extract_surface(
     for offset in offsets:
         interior &= _neighbor_shift(mask.bits, offset)
     # the box edge is exact as "outside": no member lies beyond it
-    boundary = mask.bits & ~interior
-    # Flat indices in memory order come far faster than np.argwhere's
-    # multi-indices (1 vs 100 ms on a Fortran-order MRI grid); the sort
-    # restores argwhere's index order.
-    shape = boundary.shape
-    if boundary.flags.f_contiguous:
-        flat = np.flatnonzero(boundary.ravel(order="F"))
-        flat = np.sort(np.ravel_multi_index(np.unravel_index(flat, shape, order="F"), shape))
-    else:
-        flat = np.flatnonzero(boundary)
-    # np.argwhere's values and column-major layout, which the brute-force
-    # route's broadcast sums run fastest on
-    indices = np.transpose(np.unravel_index(flat, shape)).astype(np.int64)
+    indices = np.argwhere(mask.bits & ~interior).astype(np.int64)
     indices += np.asarray(mask.origin, dtype=np.int64)
     return SurfacePointSet(indices=indices, space=space, spacing=mask.spacing)
 
@@ -329,8 +308,8 @@ def compare_surfaces(
     The field computation is confined to the bounding box of the two
     surfaces; every site and query point lies inside it, so the crop cannot
     change any nearest-point distance. Routes to brute force when the
-    pairwise product does not exceed the field route's cost on that box
-    (see the module docstring), else to the distance-field path.
+    pairwise product does not exceed the voxel count of that box, else to
+    the distance-field path.
     """
     s_a = extract_surface(mask_a, space=space, connectivity=connectivity)
     s_r = extract_surface(mask_r, space=space, connectivity=connectivity)
@@ -341,8 +320,7 @@ def compare_surfaces(
     # both routes see box-local coordinates, so translating a pair changes no bit
     s_a_local = SurfacePointSet(indices=s_a.indices - lo, space=space, spacing=s_a.spacing)
     s_r_local = SurfacePointSet(indices=s_r.indices - lo, space=space, spacing=s_r.spacing)
-    field_cost = _EDT_PER_VOXEL * math.prod(sub_dims) + _EDT_PER_AXIS_STEP * sum(sub_dims)
-    if s_a.count * s_r.count <= field_cost:
+    if s_a.count * s_r.count <= math.prod(sub_dims):
         return surface_metrics_bruteforce(s_a_local, s_r_local)
     field_a = distance_field(s_a_local, sub_dims, mask_a.spacing)
     field_r = distance_field(s_r_local, sub_dims, mask_r.spacing)

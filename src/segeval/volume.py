@@ -71,7 +71,9 @@ class BinaryMask:
 
     ``bits`` covers either the whole grid or a box of it whose lowest corner
     sits at ``origin``; voxels outside the box are non-members. ``dims``
-    is always the full grid.
+    is always the full grid. ``count`` is computed once, so ``bits`` must not
+    change after construction; :func:`binarize` and :func:`binarize_pair`
+    hand out read-only arrays.
     """
 
     dims: tuple[int, int, int]
@@ -281,7 +283,9 @@ def binarize(vol: LabelVolume, rule: BinarizeRule) -> BinaryMask:
 
     An empty result is legal; downstream metrics decide how to treat it.
     """
-    return BinaryMask(dims=vol.dims, spacing=vol.spacing, bits=_apply_rule(vol.data, rule))
+    bits = _apply_rule(vol.data, rule)
+    bits.flags.writeable = False
+    return BinaryMask(dims=vol.dims, spacing=vol.spacing, bits=bits)
 
 
 def binarize_pair(
@@ -305,10 +309,13 @@ def binarize_pair(
         box.append(slice(int(hits[0]), int(hits[-1]) + 1) if hits.size else slice(0, 0))
     box = tuple(box)
     origin = tuple(sl.start for sl in box)
-    # copies, so the full-grid arrays are freed once this returns
-    mask_a = BinaryMask(vol_a.dims, vol_a.spacing, bits_a[box].copy(), origin)
-    mask_m = BinaryMask(vol_m.dims, vol_m.spacing, bits_m[box].copy(), origin)
-    return mask_a, mask_m
+    masks = []
+    for vol, bits in ((vol_a, bits_a), (vol_m, bits_m)):
+        # a copy, so the full-grid array is freed once this returns
+        crop = bits[box].copy()
+        crop.flags.writeable = False
+        masks.append(BinaryMask(vol.dims, vol.spacing, crop, origin))
+    return masks[0], masks[1]
 
 
 def check_compatible(

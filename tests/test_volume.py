@@ -212,6 +212,13 @@ class TestBinarize:
         mask = binarize(make_volume(np.eye(4)[:, :, None]), BinarizeRule.nonzero())
         assert mask.count == 4
         assert mask.__dict__["count"] == 4  # cached on the instance
+        # so the bits it was counted from cannot change under it
+        assert not mask.bits.flags.writeable
+        for cropped in binarize_pair(
+            make_volume(np.eye(4)[:, :, None]), make_volume(np.eye(4)[:, :, None]),
+            BinarizeRule.nonzero(),
+        ):
+            assert not cropped.bits.flags.writeable
 
 
 class TestBinarizePair:
