@@ -34,8 +34,9 @@ class UnsupportedDatatype(InputError):
 
 
 class CorruptFile(InputError):
-    """Header promises more payload than the file contains, or the header
-    itself is structurally malformed."""
+    """Header promises more payload than the file contains, the header
+    itself is structurally malformed, its scale factors are not finite, or a
+    float volume holds NaN voxels."""
 
 
 class NonPositiveSpacing(InputError):

@@ -8,15 +8,25 @@ space (index × spacing per axis).
 
 Two interchangeable routes compute the distance measures:
 
-* an exact Euclidean distance transform (:func:`distance_field`) sampled at
-  the opposing surface, run on the bounding box of the two surfaces, so its
-  work grows with the voxels of that box;
+* an exact Euclidean distance transform sampled at the opposing surface,
+  run on the bounding box of the two surfaces;
 * exhaustive pairwise distances (:func:`surface_metrics_bruteforce`) —
-  |S_A|·|S_R| pairs, also the testing oracle for the field route.
+  |S_A|·|S_R| pairs, also the testing oracle for the transform.
 
 :func:`compare_surfaces` takes brute force when the pair count is at most
-the number of box voxels, else the field route. Both satisfy the same
+the number of box voxels, else the transform. Both satisfy the same
 contract, so the choice is unobservable except in runtime.
+
+The transform is separable: one pass per axis, each setting
+``out[i] = min over |k| ≤ w of f[i±k] + step²·k·k`` for a window w. After
+the three passes every squared distance below T = min(step²)·(w+1)² is
+exact, and every other value is an overestimate at or above T. With
+w ≥ max(dims) − 1 the windows span the grid and every value is exact; that
+is what :func:`distance_field` computes. The pipeline needs the transform
+only at the opposing surface's voxels, whose distances are small next to
+the box, so its last pass runs at those voxels alone: it starts with
+w = 4, keeps the values below T, and reruns the rest with w doubled on the
+box around them.
 """
 
 from __future__ import annotations
@@ -28,11 +38,6 @@ import numpy as np
 
 from .errors import EmptyMask, EmptySurface
 from .volume import BinaryMask
-
-# Stand-in for +inf inside the envelope passes: large enough to dominate any
-# reachable squared distance, small enough that finite increments are
-# absorbed without producing inf-inf = nan in the intersection formula.
-_BIG = 1e30
 
 _OFFSETS_6 = [
     (1, 0, 0), (-1, 0, 0),
@@ -139,66 +144,95 @@ def extract_surface(
     return SurfacePointSet(indices=indices, space=space, spacing=mask.spacing)
 
 
-def _envelope_pass(f: np.ndarray, step: float) -> np.ndarray:
-    """One squared-distance pass along the last axis, all rows in lockstep.
+def _window_pass(f: np.ndarray, axis: int, w: int, h2: float) -> np.ndarray:
+    """out[i] = min over |k| ≤ w of f[i±k] + h2·k·k along one axis.
 
-    Computes out[r, i] = min_j (f[r, j] + step²·(i−j)²) exactly via the
-    lower envelope of the parabolas rooted at each j. The envelope is built
-    left to right: parabola q evicts the top of the stack while its
-    intersection s with the top falls left of the top's own reign, then is
-    pushed with s as the new boundary. All rows advance together; the
-    data-dependent evictions run as masked vector updates until no row
-    needs another pop, which keeps the amortized O(n) bound per row.
+    Runs as 2·w shifted ``np.minimum`` updates over the whole array. In
+    index space h2 = 1 and f holds integers, so every value is an exact
+    integer.
     """
-    rows, n = f.shape
-    if n == 1:
-        return f.copy()
-    h2 = step * step
-    ridx = np.arange(rows)
-    positions = np.arange(n, dtype=np.float64)
-    g = f + h2 * positions**2  # g[:, q] = f[:, q] + step²·q²
-    v = np.zeros((rows, n), dtype=np.intp)  # parabola roots on the envelope
-    z = np.full((rows, n + 1), np.inf)  # reign boundaries between roots
-    z[:, 0] = -np.inf
-    k = np.zeros(rows, dtype=np.intp)  # envelope top per row
-    for q in range(1, n):
-        gq = g[:, q]
-        while True:
-            vk = v[ridx, k]
-            s = (gq - g[ridx, vk]) / (2.0 * h2 * (q - vk))
-            pop = (s <= z[ridx, k]) & (k > 0)
-            if not pop.any():
-                break
-            k[pop] -= 1
-        k += 1
-        v[ridx, k] = q
-        z[ridx, k] = s
-        z[ridx, k + 1] = np.inf
-
-    out = np.empty_like(f)
-    k = np.zeros(rows, dtype=np.intp)
-    for q in range(n):
-        while True:
-            adv = z[ridx, k + 1] < q
-            if not adv.any():
-                break
-            k[adv] += 1
-        vk = v[ridx, k]
-        d = q - vk
-        out[:, q] = f[ridx, vk] + h2 * d * d
+    out = f.copy()
+    fv = np.moveaxis(f, axis, 0)
+    ov = np.moveaxis(out, axis, 0)
+    for k in range(1, min(w, fv.shape[0] - 1) + 1):
+        c = h2 * k * k
+        np.minimum(ov[k:], fv[:-k] + c, out=ov[k:])
+        np.minimum(ov[:-k], fv[k:] + c, out=ov[:-k])
     return out
 
 
-def _squared_edt(sites: np.ndarray, steps: tuple[float, float, float]) -> np.ndarray:
-    """Exact squared Euclidean distance to the nearest True voxel of sites."""
-    d = np.where(sites, 0.0, _BIG)
-    for axis in range(3):
-        moved = np.moveaxis(d, axis, -1)
-        shape = moved.shape
-        flat = np.ascontiguousarray(moved).reshape(-1, shape[-1])
-        flat = _envelope_pass(flat, steps[axis])
-        d = np.moveaxis(flat.reshape(shape), -1, axis)
+def _window_sample(g: np.ndarray, at: np.ndarray, w: int, h2: float) -> np.ndarray:
+    """The last-axis :func:`_window_pass` of ``g``, evaluated only at ``at``.
+
+    A shift past the grid edge is clamped to the edge voxel: that candidate
+    is no lower than the edge voxel's own, which the window already holds.
+    """
+    x, y, z = at[:, 0], at[:, 1], at[:, 2]
+    top = g.shape[2] - 1
+    vals = g[x, y, z]
+    for k in range(1, min(w, top) + 1):
+        c = h2 * k * k
+        np.minimum(vals, g[x, y, np.minimum(z + k, top)] + c, out=vals)
+        np.minimum(vals, g[x, y, np.maximum(z - k, 0)] + c, out=vals)
+    return vals
+
+
+def _squared_edt(sites: np.ndarray, steps: tuple[float, ...], w: int) -> np.ndarray:
+    """Squared Euclidean distance to the nearest True voxel, window w per axis.
+
+    One pass per given step, along the leading axes; with two steps the
+    last axis is left for :func:`_window_sample`.
+
+    Every entry whose true value is below T = min(step²)·(w+1)² is exact;
+    every other entry is an overestimate at or above T (inf where no site
+    lies within the window). With w ≥ max(dims) − 1 the windows cover the
+    grid and every entry is exact.
+    """
+    d = np.where(sites, 0.0, np.inf)
+    for axis, step in enumerate(steps):
+        d = _window_pass(d, axis, w, step * step)
     return d
+
+
+def _nearest_distances(
+    sites: np.ndarray,
+    queries: np.ndarray,
+    dims: tuple[int, int, int],
+    steps: tuple[float, float, float],
+) -> np.ndarray:
+    """Exact distance from each query voxel to the nearest site voxel.
+
+    Starts with a window of 4 on the whole box and keeps each query whose
+    value is below the exactness bound T. The rest rerun with the window
+    doubled, on the box around them widened by the new window: a site
+    outside that sub-box is at least w+1 voxels away along some axis, so it
+    cannot undercut the bound. Once the window spans the whole box every
+    value is exact.
+    """
+    grid = np.zeros(dims, dtype=bool)
+    grid[sites[:, 0], sites[:, 1], sites[:, 2]] = True
+    top = np.asarray(dims) - 1
+    full = int(top.max())
+    out = np.empty(queries.shape[0])
+    todo = np.arange(queries.shape[0])
+    lo, hi = np.zeros(3, dtype=np.int64), top
+    w = min(4, full)
+    h2_min = min(step * step for step in steps)
+    while True:
+        box = tuple(slice(int(l), int(h) + 1) for l, h in zip(lo, hi))
+        g = _squared_edt(grid[box], steps[:2], w)
+        vals = _window_sample(g, queries[todo] - lo, w, steps[2] * steps[2])
+        # a candidate outside the window adds at least h2·(w+1)·(w+1) on its
+        # axis; float products and sums are monotone, so T computed the same
+        # way bounds it exactly in floats too
+        done = vals < (np.inf if w == full else h2_min * (w + 1) * (w + 1))
+        out[todo[done]] = vals[done]
+        todo = todo[~done]
+        if todo.size == 0:
+            return np.sqrt(out)
+        w = min(2 * w, full)
+        lo = np.maximum(queries[todo].min(axis=0) - w, 0)
+        hi = np.minimum(queries[todo].max(axis=0) + w, top)
 
 
 def distance_field(
@@ -208,9 +242,10 @@ def distance_field(
 ) -> DistanceField:
     """Exact Euclidean distance from every voxel center to the surface.
 
-    Separable envelope passes, one per axis; anisotropic spacing is honored
-    in physical space. Not a chamfer approximation: index-space values are
-    exact square roots of integers.
+    Separable windowed passes, one per axis, each with a window spanning
+    the grid, so every value is exact (see the module docstring);
+    anisotropic spacing is honored in physical space. Not a chamfer
+    approximation: index-space values are exact square roots of integers.
     """
     if surface.count == 0:
         raise EmptySurface("cannot build a distance field from an empty surface")
@@ -222,7 +257,7 @@ def distance_field(
     steps = spacing if surface.space == "physical" else (1.0, 1.0, 1.0)
     sites = np.zeros(dims, dtype=bool)
     sites[idx[:, 0], idx[:, 1], idx[:, 2]] = True
-    values = np.sqrt(_squared_edt(sites, steps))
+    values = np.sqrt(_squared_edt(sites, steps, max(dims) - 1))
     return DistanceField(dims=dims, values=values, space=surface.space, spacing=spacing)
 
 
@@ -291,7 +326,13 @@ def surface_metrics_bruteforce(
     d_ma = np.full(r.count, np.inf)
     for start in range(0, a.count, chunk):
         block = pa[start : start + chunk]
-        dist = np.sqrt(((block[:, None, :] - pr[None, :, :]) ** 2).sum(axis=2))
+        # one axis at a time: a length-3 reduction axis runs slowly on row-major input
+        d2 = np.square(block[:, 0, None] - pr[None, :, 0])
+        diff = np.empty_like(d2)
+        for axis in (1, 2):
+            np.subtract(block[:, axis, None], pr[None, :, axis], out=diff)
+            d2 += np.square(diff, out=diff)
+        dist = np.sqrt(d2, out=d2)
         d_am[start : start + block.shape[0]] = dist.min(axis=1)
         np.minimum(d_ma, dist.min(axis=0), out=d_ma)
     return _pooled_result(d_am, d_ma, a.space)
@@ -305,11 +346,11 @@ def compare_surfaces(
 ) -> SurfaceDistanceResult:
     """Extract both surfaces and compute the four distance measures.
 
-    The field computation is confined to the bounding box of the two
-    surfaces; every site and query point lies inside it, so the crop cannot
-    change any nearest-point distance. Routes to brute force when the
-    pairwise product does not exceed the voxel count of that box, else to
-    the distance-field path.
+    Distances are computed on the bounding box of the two surfaces; every
+    site and query point lies inside it, so the crop cannot change any
+    nearest-point distance. Routes to brute force when the pairwise product
+    does not exceed the voxel count of that box, else to the windowed
+    transform sampled at the opposing surface's voxels.
     """
     s_a = extract_surface(mask_a, space=space, connectivity=connectivity)
     s_r = extract_surface(mask_r, space=space, connectivity=connectivity)
@@ -322,6 +363,10 @@ def compare_surfaces(
     s_r_local = SurfacePointSet(indices=s_r.indices - lo, space=space, spacing=s_r.spacing)
     if s_a.count * s_r.count <= math.prod(sub_dims):
         return surface_metrics_bruteforce(s_a_local, s_r_local)
-    field_a = distance_field(s_a_local, sub_dims, mask_a.spacing)
-    field_r = distance_field(s_r_local, sub_dims, mask_r.spacing)
-    return surface_metrics(s_a_local, s_r_local, field_a, field_r)
+    if space == "physical":
+        steps_a, steps_r = mask_a.spacing, mask_r.spacing
+    else:
+        steps_a = steps_r = (1.0, 1.0, 1.0)
+    d_am = _nearest_distances(s_r_local.indices, s_a_local.indices, sub_dims, steps_r)
+    d_ma = _nearest_distances(s_a_local.indices, s_r_local.indices, sub_dims, steps_a)
+    return _pooled_result(d_am, d_ma, space)

@@ -142,6 +142,9 @@ def load_volume(path: str | Path) -> LabelVolume:
     else:
         dims, spacing, data = _parse_nifti(raw, str(path))
     _check_spacing(spacing, str(path))
+    # a NaN compares unequal to 0, so "nonzero" would count it as a member
+    if data.dtype.kind == "f" and np.isnan(data).any():
+        raise CorruptFile(f"{path}: volume holds NaN voxels")
     return LabelVolume(dims=dims, spacing=spacing, data=data, source_path=str(path))
 
 
@@ -201,6 +204,10 @@ def _parse_nifti(raw: bytes, path: str):
         vox_offset = 348
     scl_slope = float(struct.unpack_from(order + "f", raw, 112)[0])
     scl_inter = float(struct.unpack_from(order + "f", raw, 116)[0])
+    if not (np.isfinite(scl_slope) and np.isfinite(scl_inter)):
+        raise CorruptFile(
+            f"{path}: non-finite scale factors scl_slope={scl_slope} scl_inter={scl_inter}"
+        )
 
     nvox = nx * ny * nz
     need = vox_offset + nvox * dtype.itemsize

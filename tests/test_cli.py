@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from helpers import build_cohort, sphere_bits, write_rawvol
+from helpers import build_cohort, sphere_bits, write_nifti, write_rawvol
 
 from segeval import cohort
 from segeval.cli import build_parser, main
@@ -42,6 +42,18 @@ class TestMetricsCommand:
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
         assert main(["metrics", str(tmp_path / "no.nii"), str(tmp_path / "no2.nii")]) == 1
+
+    @pytest.mark.parametrize("defect", ["nan_voxel", "nan_slope"])
+    def test_nan_input_exit_1(self, tmp_path, capsys, defect):
+        ball = sphere_bits((8, 8, 8), (4, 4, 4), 2).astype(np.float32)
+        good = str(write_rawvol(tmp_path / "good.rawvol", ball))
+        if defect == "nan_voxel":
+            ball[0, 0, 0] = np.nan
+            bad = write_rawvol(tmp_path / "bad.rawvol", ball)
+        else:
+            bad = write_nifti(tmp_path / "bad.nii", ball, scl_slope=float("nan"))
+        assert main(["metrics", str(bad), good]) == 1
+        assert "CorruptFile" in capsys.readouterr().err
 
     def test_label_flag(self, tmp_path, capsys):
         data = np.zeros((6, 6, 6), dtype=np.uint8)

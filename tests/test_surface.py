@@ -135,6 +135,18 @@ class TestDistanceField:
             ).min(1).reshape(dims)
             assert np.abs(field.values - brute).max() <= 1e-9
 
+    def test_matches_scipy(self, rng):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        for trial in range(6):
+            dims = tuple(int(n) for n in rng.integers(5, 30, size=3))
+            space = ("index", "physical")[trial % 2]
+            spacing = (0.781, 0.9, 2.0) if space == "physical" else (1.0, 1.0, 1.0)
+            sites = random_bits(rng, dims, 0.01)
+            sites[tuple(int(rng.integers(n)) for n in dims)] = True
+            field = distance_field(_point_set(np.argwhere(sites), space, spacing), dims)
+            expected = ndimage.distance_transform_edt(~sites, sampling=spacing)
+            assert np.abs(field.values - expected).max() <= 1e-9
+
     def test_lipschitz_in_physical_coords(self, rng):
         spacing = (0.7, 1.3, 2.0)
         bits = random_bits(rng, (9, 9, 9), 0.15)
@@ -226,6 +238,22 @@ class TestSurfaceMetrics:
         with pytest.raises(EmptySurface):
             surface_metrics_bruteforce(a, empty)
 
+    def test_bruteforce_is_the_same_for_row_and_column_major_indices(self, rng):
+        for space, spacing in (("index", (1.0, 1.0, 1.0)), ("physical", (0.781, 0.9, 2.0))):
+            a, r = (
+                extract_surface(make_mask(random_bits(rng, (9, 9, 9), 0.3), spacing), space)
+                for _ in range(2)
+            )
+            by_layout = [
+                surface_metrics_bruteforce(
+                    SurfacePointSet(layout(a.indices), space, spacing),
+                    SurfacePointSet(layout(r.indices), space, spacing),
+                    chunk=7,
+                )
+                for layout in (np.ascontiguousarray, np.asfortranarray)
+            ]
+            assert by_layout[0] == by_layout[1]
+
 
 class TestOracleEquivalence:
     def test_random_masks_both_spaces_and_connectivities(self, rng):
@@ -295,7 +323,7 @@ class TestCompareSurfacesEngine:
         bits_a[0, 0, 0] = True
         bits_r = np.zeros((64, 64, 64), dtype=bool)
         bits_r[63, 63, 63] = True
-        monkeypatch.setattr(surface, "distance_field", _must_not_run("field"))
+        monkeypatch.setattr(surface, "_nearest_distances", _must_not_run("transform"))
         res = compare_surfaces(make_mask(bits_a), make_mask(bits_r))
         assert res.hausdorff == pytest.approx(63 * math.sqrt(3), abs=1e-12)
 
@@ -335,6 +363,91 @@ class TestCompareSurfacesEngine:
         good = make_mask(np.ones((3, 3, 3), dtype=bool))
         with pytest.raises(EmptyMask):
             compare_surfaces(good, make_mask(np.zeros((3, 3, 3), dtype=bool)))
+
+
+def _edt_windows(monkeypatch):
+    """Record (box shape, window) of every windowed transform compare_surfaces runs."""
+    calls = []
+    real = surface._squared_edt
+
+    def spy(sites, steps, w):
+        calls.append((sites.shape, w))
+        return real(sites, steps, w)
+
+    monkeypatch.setattr(surface, "_squared_edt", spy)
+    return calls
+
+
+def _ball_with_outlier(dims, center, radius, outlier):
+    bits = sphere_bits(dims, center, radius)
+    bits[outlier] = True
+    return bits
+
+
+class TestWindowedTransform:
+    """The transform route against brute force where one window of 4 is not enough."""
+
+    DIMS = (48, 48, 48)
+    CASES = {
+        "outlier_in_a": lambda d: (
+            _ball_with_outlier(d, (12, 12, 12), 6, (44, 44, 44)),
+            sphere_bits(d, (13, 12, 12), 6),
+        ),
+        "outlier_in_r": lambda d: (
+            sphere_bits(d, (13, 12, 12), 6),
+            _ball_with_outlier(d, (12, 12, 12), 6, (44, 44, 44)),
+        ),
+        "far_apart_balls": lambda d: (
+            sphere_bits(d, (10, 10, 10), 5), sphere_bits(d, (36, 12, 10), 5),
+        ),
+        "concentric_balls": lambda d: (
+            sphere_bits(d, (24, 24, 24), 4), sphere_bits(d, (24, 24, 24), 14),
+        ),
+    }
+
+    def _check(self, monkeypatch, a_mask, r_mask, space="index"):
+        oracle = surface_metrics_bruteforce(
+            extract_surface(a_mask, space=space), extract_surface(r_mask, space=space)
+        )
+        monkeypatch.setattr(surface, "surface_metrics_bruteforce", _must_not_run("brute-force"))
+        windows = _edt_windows(monkeypatch)
+        engine = compare_surfaces(a_mask, r_mask, space=space)
+        for name in ("hausdorff", "rms", "assd", "mean_distance", "directed_h_am", "directed_h_ma"):
+            assert abs(getattr(engine, name) - getattr(oracle, name)) <= 1e-9
+        return engine, windows
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_bruteforce(self, monkeypatch, case):
+        a_bits, r_bits = self.CASES[case](self.DIMS)
+        _, windows = self._check(monkeypatch, make_mask(a_bits), make_mask(r_bits))
+        assert max(w for _, w in windows) > 4  # the window doubled at least once
+        if case.startswith("outlier"):
+            # the first round settles the balls; the outlier reruns on a smaller box
+            box = windows[0][0]
+            assert any(math.prod(shape) < math.prod(box) for shape, _ in windows[1:])
+
+    def test_anisotropic_shift_in_physical_space(self, monkeypatch):
+        dims = (30, 30, 30)
+        spacing = (0.781, 0.9, 2.0)
+        a_mask = make_mask(sphere_bits(dims, (14, 15, 14), 8), spacing)
+        r_mask = make_mask(sphere_bits(dims, (15, 15, 16), 8), spacing)
+        _, windows = self._check(monkeypatch, a_mask, r_mask, space="physical")
+        assert max(w for _, w in windows) > 4
+
+    @pytest.mark.parametrize("gap", [5, 9])
+    def test_plane_and_bump_against_a_plane(self, monkeypatch, gap):
+        # gap 5 = w+1 for the first window, which then holds no plane site.
+        # gap 9: the retry box x ∈ [1, 9] is spanned by w = 8 and holds the
+        # bump at x = 1, but the corner queries' nearest sites lie on the plane
+        # at x = 0, outside it; only a window spanning the whole box may
+        # settle them.
+        bits_a = np.zeros((gap + 1, 6, 6), dtype=bool)
+        bits_a[0] = True
+        bits_a[1, 5, 5] = True
+        bits_r = np.zeros_like(bits_a)
+        bits_r[gap] = True
+        engine, _ = self._check(monkeypatch, make_mask(bits_a), make_mask(bits_r))
+        assert engine.hausdorff == float(gap)
 
 
 def _sparse_pair(rng, dims=(18, 17, 16)):

@@ -136,6 +136,24 @@ class TestNifti:
         with pytest.raises(NonPositiveSpacing):
             load_volume(path)
 
+    @pytest.mark.parametrize("field", ["scl_slope", "scl_inter"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_scale_factor_is_corrupt(self, tmp_path, field, value):
+        # a NaN slope would make every voxel a member under "nonzero"
+        factors = {"scl_slope": 2.0, "scl_inter": 0.0, field: value}
+        path = write_nifti(tmp_path / "v.nii", _arange_vol((3, 3, 3), np.int16), **factors)
+        with pytest.raises(CorruptFile, match="non-finite"):
+            load_volume(path)
+
+
+@pytest.mark.parametrize("writer", [write_nifti, write_rawvol])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_nan_voxel_is_corrupt(tmp_path, writer, dtype):
+    data = _arange_vol((3, 3, 3), dtype)
+    data[1, 2, 0] = np.nan
+    with pytest.raises(CorruptFile, match="NaN"):
+        load_volume(writer(tmp_path / "v.vol", data))
+
 
 class TestRawvol:
     def test_round_trip_all_dtypes(self, tmp_path, rng):
