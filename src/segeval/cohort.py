@@ -2,9 +2,10 @@
 
 Cases are independent by construction and evaluated in parallel; per-case
 failures degrade to error-status records so a long batch never dies on one
-bad file. Aggregation is a deterministic sequential fold: records keep
-manifest order, aggregates use lexicographic order, so repeated runs are
-byte-identical regardless of the worker count.
+bad file. Records keep manifest order and the volume table uses
+lexicographic order, so repeated runs are byte-identical regardless of the
+worker count. The ANOVA over methods is computed from the records by
+:mod:`segeval.reporting`, in one place.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import (
     DuplicateCase,
     EmptySubgroup,
     MalformedRow,
-    StatsError,
     UnknownStructure,
 )
 from .overlap import (
@@ -37,7 +37,7 @@ from .overlap import (
     similarity,
     volume,
 )
-from .stats import AnovaTable, GroupSample, SummaryStats, group_summary, one_way_anova
+from .stats import GroupSample, group_summary
 from .surface import compare_surfaces
 from .volume import BinarizeRule, binarize_pair, load_volume
 
@@ -164,10 +164,7 @@ class Provenance:
 @dataclass(frozen=True)
 class CohortResult:
     records: list[MetricRecord]
-    anova: dict[str, AnovaTable]
-    anova_errors: dict[str, str]
     volume_table: list[VolumeRow]
-    subgroup_summaries: dict[str, dict[str, dict[str, SummaryStats]]]
     provenance: Provenance
 
 
@@ -324,32 +321,6 @@ def _case_worker(args: tuple[CaseSpec, EvalConfig]) -> MetricRecord:
     return evaluate_case(*args)
 
 
-def _anova_groups(
-    records: list[MetricRecord], metric: str, pooling: str, excluded: set[str]
-) -> list[GroupSample]:
-    methods = sorted({r.method for r in records})
-    groups = []
-    for method in methods:
-        if pooling == "subject":
-            by_subject: dict[str, list[float]] = {}
-            for r in records:
-                if r.status != "ok" or r.method != method or r.subject in excluded:
-                    continue
-                by_subject.setdefault(r.subject, []).append(r.metric(metric))
-            values = [
-                sum(vs) / len(vs) for _, vs in sorted(by_subject.items())
-            ]
-        else:
-            values = [
-                r.metric(metric)
-                for r in records
-                if r.status == "ok" and r.method == method
-            ]
-        if values:
-            groups.append(GroupSample(label=method, values=tuple(values)))
-    return groups
-
-
 def _volume_rows(records: list[MetricRecord]) -> list[VolumeRow]:
     cells: dict[tuple[str, str], dict] = {}
     for r in records:
@@ -369,32 +340,13 @@ def _volume_rows(records: list[MetricRecord]) -> list[VolumeRow]:
     ]
 
 
-def _subgroup_summaries(records: list[MetricRecord]):
-    out: dict[str, dict[str, dict[str, SummaryStats]]] = {}
-    for fs in FIELD_STRENGTHS:
-        fs_records = [r for r in records if r.status == "ok" and r.field_strength == fs]
-        if not fs_records:
-            continue
-        per_method: dict[str, dict[str, SummaryStats]] = {}
-        for method in sorted({r.method for r in fs_records}):
-            vals = [r for r in fs_records if r.method == method]
-            per_method[method] = {
-                metric: group_summary(
-                    GroupSample(method, tuple(r.metric(metric) for r in vals))
-                )
-                for metric in METRIC_NAMES
-            }
-        out[fs] = per_method
-    return out
-
-
 def evaluate_cohort(
     cases: list[CaseSpec], config: EvalConfig, manifest_path: str = ""
 ) -> CohortResult:
-    """Evaluate every case (in parallel) and assemble all aggregate tables.
+    """Evaluate every case (in parallel) and assemble the volume table.
 
-    Per-metric ANOVA failures (degenerate data, too few methods) are
-    recorded per metric rather than aborting the run.
+    Under subject pooling, subjects with any errored case are listed in the
+    provenance as excluded.
     """
     if not cases:
         raise ValueError("cohort has no cases")
@@ -415,20 +367,6 @@ def evaluate_cohort(
     if config.pooling == "subject":
         excluded = {r.subject for r in records if r.status == "error"}
 
-    anova: dict[str, AnovaTable] = {}
-    anova_errors: dict[str, str] = {}
-    for metric in METRIC_NAMES:
-        groups = _anova_groups(records, metric, config.pooling, excluded)
-        if len(groups) < 2:
-            anova_errors[metric] = (
-                f"InconsistentMethods: only {len(groups)} method(s) with data"
-            )
-            continue
-        try:
-            anova[metric] = one_way_anova(groups)
-        except StatsError as e:
-            anova_errors[metric] = f"{type(e).__name__}: {e}"
-
     provenance = Provenance(
         tool_version=__version__,
         config_hash=config.config_hash(),
@@ -440,23 +378,18 @@ def evaluate_cohort(
     )
     return CohortResult(
         records=records,
-        anova=anova,
-        anova_errors=anova_errors,
         volume_table=_volume_rows(records),
-        subgroup_summaries=_subgroup_summaries(records),
         provenance=provenance,
     )
-
-
-def subgroup_compare(result: CohortResult, partition: str = "field_strength") -> dict:
-    """Per method per metric: summaries per field strength and 3T−1.5T deltas."""
-    return subgroup_report(result.records, partition)
 
 
 def subgroup_report(
     records: list[MetricRecord], partition: str = "field_strength"
 ) -> dict:
-    """Field-strength comparison from bare records (e.g. a re-read metrics CSV)."""
+    """Per method per metric: summaries per field strength and 3T−1.5T deltas.
+
+    Takes ``CohortResult.records`` or the records of a re-read metrics CSV.
+    """
     if partition != "field_strength":
         raise ValueError(f"unsupported partition {partition!r}")
     tagged = [r for r in records if r.status == "ok" and r.field_strength is not None]

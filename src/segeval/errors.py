@@ -110,10 +110,6 @@ class TooFewGroups(StatsError):
     """ANOVA needs at least two groups."""
 
 
-class InconsistentMethods(StatsError):
-    """A metric's ANOVA needs at least two methods with usable values."""
-
-
 class EmptySubgroup(StatsError):
     """A subgroup comparison cell has no cases."""
 

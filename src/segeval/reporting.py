@@ -7,9 +7,11 @@ leading ``# config:`` comment or a ``config`` field, and is written
 atomically (temp file + rename) so a crashed run never leaves truncated
 output.
 
-``anova.csv`` is recomputed from the rows exactly as serialized in
-``metrics.csv`` (not from the full-precision in-memory records) so that
-re-analysis from the CSV alone reproduces it bit for bit.
+The ANOVA is computed once, in memory, from each metric value rounded to
+the 4 decimals ``metrics.csv`` prints (:func:`_round4`). ``anova.csv`` and
+``run_manifest.json`` carry the same per-metric skip reasons, and
+re-analysis from ``metrics.csv`` alone reproduces ``anova.csv`` bit for bit.
+``boxplot.json`` and ``scatter.json`` keep full precision.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .cohort import (
     VolumeRow,
 )
 from .errors import MalformedCsv, StatsError, UnknownMetric
-from .stats import AnovaTable, GroupSample, one_way_anova
+from .stats import AnovaTable, GroupSample, group_summary, one_way_anova
 
 _METRICS_HEADER = (
     ["subject", "method", "structure", "field_strength"]
@@ -58,6 +60,11 @@ class ReportBundle:
 
 def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.4f}"
+
+
+def _round4(value: float) -> float:
+    """``value`` as ``metrics.csv`` prints it and a reader parses it back."""
+    return float(_fmt(value))
 
 
 def _fmt_p(p: float) -> str:
@@ -145,18 +152,23 @@ def anova_csv_text(
     return buf.getvalue()
 
 
-def _split_comments(text: str) -> tuple[list[str], list[str]]:
-    comments, data = [], []
-    for line in text.splitlines():
-        (comments if line.startswith("#") else data).append(line)
-    return comments, data
+def _data_lines(text: str) -> list[str]:
+    """The header row and every line after it.
+
+    Only the ``#`` lines before the header are comments: a data row whose
+    subject starts with ``#`` is data.
+    """
+    lines = text.splitlines()
+    start = 0
+    while start < len(lines) and lines[start].startswith("#"):
+        start += 1
+    return lines[start:]
 
 
 def read_metrics_csv(path: str | Path) -> list[MetricRecord]:
     """Parse a metrics.csv produced by this package back into records."""
     text = Path(path).read_text(encoding="utf-8")
-    _, data = _split_comments(text)
-    reader = csv.DictReader(data)
+    reader = csv.DictReader(_data_lines(text))
     if reader.fieldnames is None:
         raise MalformedCsv(f"{path}: no header row")
     missing = [c for c in _METRICS_HEADER if c not in reader.fieldnames]
@@ -189,8 +201,7 @@ def read_metrics_csv(path: str | Path) -> list[MetricRecord]:
 
 def read_volumes_csv(path: str | Path) -> list[VolumeRow]:
     text = Path(path).read_text(encoding="utf-8")
-    _, data = _split_comments(text)
-    reader = csv.DictReader(data)
+    reader = csv.DictReader(_data_lines(text))
     if reader.fieldnames is None or any(
         c not in reader.fieldnames for c in _VOLUMES_HEADER
     ):
@@ -210,26 +221,49 @@ def read_volumes_csv(path: str | Path) -> list[VolumeRow]:
     return rows
 
 
-def anova_for_metric(
-    records: list[MetricRecord], metric: str, pooling: str = "observation"
-) -> AnovaTable:
-    """One-way ANOVA across methods for one metric, from records alone.
+def _anova_groups(
+    records: list[MetricRecord], metric: str, pooling: str
+) -> list[GroupSample]:
+    """One sample per method, in lexicographic order, of 4-dp values.
 
-    Matches the grouping used by cohort evaluation: methods in
-    lexicographic order, ok records only, and under subject pooling the
-    per-subject mean with subjects that have any errored record excluded.
+    Only ok records count. Under subject pooling each value is the mean of a
+    subject's records, and subjects with any errored record are excluded.
+    Methods without values get no group.
     """
-    if metric not in METRIC_NAMES:
-        raise UnknownMetric(f"{metric!r}; valid names: {', '.join(METRIC_NAMES)}")
-    from .cohort import _anova_groups  # grouping must match evaluate_cohort
-
     excluded = (
         {r.subject for r in records if r.status == "error"}
         if pooling == "subject"
         else set()
     )
-    groups = _anova_groups(records, metric, pooling, excluded)
-    return one_way_anova(groups)
+    groups = []
+    for method in sorted({r.method for r in records}):
+        ok = [r for r in records if r.status == "ok" and r.method == method]
+        if pooling == "subject":
+            by_subject: dict[str, list[float]] = {}
+            for r in ok:
+                if r.subject not in excluded:
+                    by_subject.setdefault(r.subject, []).append(
+                        _round4(r.metric(metric))
+                    )
+            values = [sum(vs) / len(vs) for _, vs in sorted(by_subject.items())]
+        else:
+            values = [_round4(r.metric(metric)) for r in ok]
+        if values:
+            groups.append(GroupSample(label=method, values=tuple(values)))
+    return groups
+
+
+def anova_for_metric(
+    records: list[MetricRecord], metric: str, pooling: str = "observation"
+) -> AnovaTable:
+    """One-way ANOVA across methods for one metric, from records alone.
+
+    In-memory records and the records of a re-read ``metrics.csv`` give
+    the same table, because every value is first rounded to 4 decimals.
+    """
+    if metric not in METRIC_NAMES:
+        raise UnknownMetric(f"{metric!r}; valid names: {', '.join(METRIC_NAMES)}")
+    return one_way_anova(_anova_groups(records, metric, pooling))
 
 
 def boxplot_payload(result: CohortResult, config: EvalConfig) -> dict:
@@ -243,8 +277,6 @@ def boxplot_payload(result: CohortResult, config: EvalConfig) -> dict:
             values = tuple(r.metric(metric) for r in ok if r.method == method)
             if not values:
                 continue
-            from .stats import group_summary
-
             series[metric][method] = asdict(
                 group_summary(GroupSample(method, values))
             )
@@ -285,17 +317,13 @@ def write_report_bundle(
     )
     started = datetime.now(timezone.utc).isoformat()
 
-    metrics_text = metrics_csv_text(result.records, config)
-    _atomic_write(bundle.metrics_csv, metrics_text)
+    _atomic_write(bundle.metrics_csv, metrics_csv_text(result.records, config))
 
-    # ANOVA for the CSV artifact is recomputed from the serialized rows so
-    # `segeval anova metrics.csv <metric>` reproduces it exactly.
-    reread = read_metrics_csv(bundle.metrics_csv)
     tables: dict[str, AnovaTable] = {}
     skipped: dict[str, str] = {}
     for metric in METRIC_NAMES:
         try:
-            tables[metric] = anova_for_metric(reread, metric, config.pooling)
+            tables[metric] = anova_for_metric(result.records, metric, config.pooling)
         except StatsError as e:
             skipped[metric] = f"{type(e).__name__}: {e}"
     _atomic_write(bundle.anova_csv, anova_csv_text(tables, skipped, config))
@@ -319,7 +347,7 @@ def write_report_bundle(
         "n_ok": result.provenance.n_ok,
         "n_error": result.provenance.n_error,
         "excluded_subjects": list(result.provenance.excluded_subjects),
-        "anova_skipped": result.anova_errors,
+        "anova_skipped": skipped,
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
     }

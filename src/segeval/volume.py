@@ -111,15 +111,6 @@ class BinarizeRule:
         return f"{self.kind}:{self.value:g}"
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    """Metadata of a mask pair that passed the common-grid check."""
-
-    dims: tuple[int, int, int]
-    spacing_a: tuple[float, float, float]
-    spacing_m: tuple[float, float, float]
-
-
 def _format_dims(dims: tuple[int, ...]) -> str:
     return "(" + ",".join(str(d) for d in dims) + ")"
 
@@ -327,7 +318,7 @@ def binarize_pair(
 
 def check_compatible(
     a: BinaryMask | LabelVolume, m: BinaryMask | LabelVolume
-) -> CompatibilityReport:
+) -> None:
     """Verify the two masks (or volumes) live on the same grid.
 
     Dims must match exactly; per-axis spacing must agree within a relative
@@ -343,4 +334,3 @@ def check_compatible(
                 f"spacing {a.spacing} vs {m.spacing} "
                 f"(relative error > {SPACING_RTOL:g} on axis {axes[i]})"
             )
-    return CompatibilityReport(dims=a.dims, spacing_a=a.spacing, spacing_m=m.spacing)

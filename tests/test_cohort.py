@@ -12,16 +12,18 @@ from segeval.cohort import (
     EvalConfig,
     evaluate_cohort,
     parse_manifest,
-    subgroup_compare,
+    subgroup_report,
 )
 from segeval.errors import (
     AllCasesFailed,
+    DegenerateData,
     DuplicateCase,
     EmptySubgroup,
     MalformedRow,
+    TooFewGroups,
     UnknownStructure,
 )
-from segeval.reporting import metrics_csv_text
+from segeval.reporting import anova_for_metric, metrics_csv_text
 from segeval.volume import BinarizeRule
 
 
@@ -162,8 +164,9 @@ class TestEvaluateCohort:
             assert r.mean_distance == 0.0
             assert r.ravd == 0.0
         # all methods identical -> within-group variance zero on every metric
-        assert result.anova == {}
-        assert all("DegenerateData" in v for v in result.anova_errors.values())
+        for metric in METRIC_NAMES:
+            with pytest.raises(DegenerateData):
+                anova_for_metric(result.records, metric)
 
     def test_dilated_method_ranks_below_identity(self, tmp_path):
         manifest = build_cohort(tmp_path, n_subjects=3)
@@ -228,11 +231,9 @@ class TestEvaluateCohort:
     def test_pooling_observation_vs_subject(self, tmp_path):
         n_subjects, n_methods, n_structures = 4, 3, 2
         manifest = build_cohort(tmp_path, n_subjects=n_subjects)
-        cases = parse_manifest(manifest)
-        res_obs = evaluate_cohort(cases, EvalConfig(threads=1, pooling="observation"))
-        res_subj = evaluate_cohort(cases, EvalConfig(threads=1, pooling="subject"))
-        t_obs = res_obs.anova["assd"]
-        t_subj = res_subj.anova["assd"]
+        records = evaluate_cohort(parse_manifest(manifest), EvalConfig(threads=1)).records
+        t_obs = anova_for_metric(records, "assd", pooling="observation")
+        t_subj = anova_for_metric(records, "assd", pooling="subject")
         assert t_obs.df_total == n_subjects * n_methods * n_structures - 1
         assert t_subj.df_total == n_subjects * n_methods - 1
 
@@ -267,7 +268,7 @@ class TestSubgroups:
     def test_mirrored_subgroups_have_zero_deltas(self, tmp_path):
         manifest = self._mirrored_cohort(tmp_path)
         result = evaluate_cohort(parse_manifest(manifest), EvalConfig(threads=1))
-        report = subgroup_compare(result)
+        report = subgroup_report(result.records)
         for method, metrics in report["methods"].items():
             for metric, cell in metrics.items():
                 assert cell["delta_mean"] == 0.0
@@ -278,7 +279,7 @@ class TestSubgroups:
             field_strengths=("1.5T", "3T", "3T", "3T"),  # 2 vs 6 subjects
         )
         result = evaluate_cohort(parse_manifest(manifest), EvalConfig(threads=1))
-        report = subgroup_compare(result)
+        report = subgroup_report(result.records)
         cell = report["methods"]["alpha"]["dice"]
         assert cell["1.5T"]["n"] == 2 * 2  # subjects x structures
         assert cell["3T"]["n"] == 6 * 2
@@ -287,29 +288,30 @@ class TestSubgroups:
         manifest = build_cohort(tmp_path, n_subjects=2, field_strengths=("1.5T",))
         result = evaluate_cohort(parse_manifest(manifest), EvalConfig(threads=1))
         with pytest.raises(EmptySubgroup, match=r"\(alpha, 3T\)"):
-            subgroup_compare(result)
+            subgroup_report(result.records)
 
     def test_no_field_strength_at_all(self, tmp_path):
         manifest = build_cohort(tmp_path, n_subjects=2)
         result = evaluate_cohort(parse_manifest(manifest), EvalConfig(threads=1))
         with pytest.raises(EmptySubgroup, match="field_strength"):
-            subgroup_compare(result)
+            subgroup_report(result.records)
 
-    def test_subgroup_summaries_in_result(self, tmp_path):
+    def test_subgroup_report_cell_n_and_mean(self, tmp_path):
         manifest = build_cohort(tmp_path, n_subjects=4, field_strengths=("1.5T", "3T"))
         result = evaluate_cohort(parse_manifest(manifest), EvalConfig(threads=1))
-        assert set(result.subgroup_summaries) == {"1.5T", "3T"}
-        assert set(result.subgroup_summaries["3T"]) == {"alpha", "beta", "gamma"}
-        summary = result.subgroup_summaries["3T"]["alpha"]["dice"]
-        assert summary.n == 2 * 2
-        assert summary.mean == 1.0
+        report = subgroup_report(result.records)
+        assert set(report["methods"]) == {"alpha", "beta", "gamma"}
+        cell = report["methods"]["alpha"]["dice"]["3T"]
+        assert cell["n"] == 2 * 2
+        assert cell["mean"] == 1.0
 
 
-def test_single_method_cohort_records_inconsistent_methods(tmp_path):
+def test_single_method_cohort_has_too_few_groups(tmp_path):
     manifest = build_cohort(tmp_path, n_subjects=2, methods=("alpha",))
     result = evaluate_cohort(parse_manifest(manifest), EvalConfig(threads=1))
-    assert result.anova == {}
-    assert all("InconsistentMethods" in v for v in result.anova_errors.values())
+    for metric in METRIC_NAMES:
+        with pytest.raises(TooFewGroups, match="got 1"):
+            anova_for_metric(result.records, metric)
 
 
 def _synthetic_record(subject, method, fs, value):
@@ -330,8 +332,6 @@ def test_subgroup_sizes_154_and_270():
         records.append(_synthetic_record(f"a{i}", "alpha", "1.5T", rng.random()))
     for i in range(270):
         records.append(_synthetic_record(f"b{i}", "alpha", "3T", rng.random()))
-    from segeval.cohort import subgroup_report
-
     report = subgroup_report(records)
     cell = report["methods"]["alpha"]["dice"]
     assert cell["1.5T"]["n"] == 154

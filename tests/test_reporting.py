@@ -1,0 +1,170 @@
+from __future__ import annotations
+
+import csv
+import hashlib
+import json
+
+import pytest
+from helpers import build_cohort
+
+from segeval.cli import main
+from segeval.cohort import (
+    METRIC_NAMES,
+    CohortResult,
+    EvalConfig,
+    MetricRecord,
+    Provenance,
+    evaluate_cohort,
+    parse_manifest,
+)
+from segeval.reporting import read_metrics_csv, read_volumes_csv, write_report_bundle
+
+ARTIFACTS = ("metrics.csv", "volumes.csv", "anova.csv", "boxplot.json", "scatter.json")
+
+
+def _evaluate(tmp_path, flags=(), **cohort):
+    manifest = build_cohort(tmp_path / "cohort", **cohort)
+    out = tmp_path / "out"
+    assert main(["evaluate", str(manifest), str(out), "--threads", "1", *flags]) == 0
+    return out
+
+
+def _anova_rows(path):
+    lines = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
+    return {(r["Measurement"], r["Source"]): r for r in csv.DictReader(lines)}
+
+
+def _skipped_lines(path):
+    prefix = "# skipped "
+    skipped = {}
+    for line in path.read_text().splitlines():
+        if line.startswith(prefix):
+            metric, reason = line[len(prefix):].split(": ", 1)
+            skipped[metric] = reason
+    return skipped
+
+
+def _manifest_skipped(out):
+    return json.loads((out / "run_manifest.json").read_text())["anova_skipped"]
+
+
+# sha256 of the five deterministic artifacts. A refactor must leave every byte
+# as it is; only a deliberate change of output updates a digest here.
+GOLDEN = {
+    "three_methods_subject_pooling": (
+        dict(n_subjects=4, field_strengths=("1.5T", "3T")),
+        ("--pooling", "subject"),
+        {
+            "metrics.csv": "4d1f1ca93134b91c8e79712504c08744788b16d133835ecb788d87bb55f8f52c",
+            "volumes.csv": "46cba9ecd2fdef34009c1324368bd05fada45957e938b380d1389480ce18f675",
+            "anova.csv": "81d7e380edbeca68743a2a06a54999e23cb578c15d8b4486dd42c1adec78cf7d",
+            "boxplot.json": "134c4b925e53a414a1a4e71b51d33bc87baa2d00144112f1b8b8a57ccd4bf10f",
+            "scatter.json": "a04daf2e5576217ed358090502a0340478f0c69342236c3546951be1211891db",
+        },
+    ),
+    "single_method": (
+        dict(n_subjects=2, methods=("alpha",)),
+        (),
+        {
+            "metrics.csv": "9f7e6ff8f8e9389432c6c84785e664738ba6d089f821279a21f77df4f01fcd48",
+            "volumes.csv": "808888a11464d6846c8280d824b6775d041cb865ed9e21a02fbbe653ed84dfaf",
+            "anova.csv": "bb9ea9269015301e01f2528a964979256ea13e49b5893bb768ffd1e9258a18c3",
+            "boxplot.json": "15f4f54c8a655a72147efaa9538f228c5e4ceb294cbbadb82de94c2c6724e2da",
+            "scatter.json": "943ab284a2a162e94e4912df22ab55e02b014242ff03883b2efcf92faaf29314",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_bundle_digests(tmp_path, capsys, name):
+    cohort, flags, digests = GOLDEN[name]
+    out = _evaluate(tmp_path, flags, **cohort)
+    got = {a: hashlib.sha256((out / a).read_bytes()).hexdigest() for a in ARTIFACTS}
+    assert got == digests
+
+
+@pytest.mark.parametrize(
+    "cohort, reason",
+    [
+        (dict(n_subjects=2, methods=("alpha",)), "TooFewGroups: need at least 2 groups, got 1"),
+        (dict(n_subjects=2, identity=True), "DegenerateData: within-group variance is zero"),
+    ],
+    ids=["single_method", "identity"],
+)
+def test_anova_csv_and_run_manifest_skip_the_same(tmp_path, capsys, cohort, reason):
+    out = _evaluate(tmp_path, **cohort)
+    skipped = _skipped_lines(out / "anova.csv")
+    assert set(skipped) == set(METRIC_NAMES)
+    assert all(v.startswith(reason) for v in skipped.values())
+    assert _manifest_skipped(out) == skipped
+
+
+def _record(subject, method, value):
+    return MetricRecord(
+        subject=subject, method=method, structure="left_hippocampus",
+        field_strength=None, space="index", status="ok",
+        v_auto=1.0, v_manual=1.0, **{m: value for m in METRIC_NAMES},
+    )
+
+
+def test_values_equal_at_four_decimals_are_degenerate_in_both_artifacts(tmp_path):
+    # every value prints as 0.5000: at full precision the ANOVA is defined,
+    # at the 4 decimals metrics.csv holds it is not
+    records = [
+        _record("s1", "alpha", 0.50001),
+        _record("s2", "alpha", 0.50002),
+        _record("s1", "beta", 0.50003),
+        _record("s2", "beta", 0.50004),
+    ]
+    config = EvalConfig()
+    result = CohortResult(
+        records=records,
+        volume_table=[],
+        provenance=Provenance("0", config.config_hash(), "", 4, 4, 0),
+    )
+    bundle = write_report_bundle(result, tmp_path, config)
+    skipped = _skipped_lines(bundle.anova_csv)
+    assert set(skipped) == set(METRIC_NAMES)
+    assert all(v.startswith("DegenerateData: within-group") for v in skipped.values())
+    assert _manifest_skipped(tmp_path) == skipped
+
+
+def _prefix_hash_to_s000(manifest):
+    lines = manifest.read_text().splitlines()
+    manifest.write_text(
+        "\n".join("#" + l if l.startswith("s000,") else l for l in lines) + "\n"
+    )
+
+
+def test_hash_prefixed_subject_is_data_not_comment(tmp_path, capsys):
+    manifest = build_cohort(tmp_path / "cohort", n_subjects=3)
+    _prefix_hash_to_s000(manifest)
+    cases = parse_manifest(manifest)
+    assert sum(c.subject_id == "#s000" for c in cases) == 6
+    out = tmp_path / "out"
+    assert main(["evaluate", str(manifest), str(out), "--threads", "1"]) == 0
+    assert (out / "metrics.csv").read_text().count("\n#s000,") == 6
+
+    records = read_metrics_csv(out / "metrics.csv")
+    assert len(records) == len(cases) == 18
+    assert [r.subject for r in records] == [c.subject_id for c in cases]
+
+    capsys.readouterr()
+    assert main(["anova", str(out / "metrics.csv"), "dice"]) == 0
+    table = json.loads(capsys.readouterr().out)
+    assert table["df_total"] == len(cases) - 1
+    assert int(_anova_rows(out / "anova.csv")[("dice", "Total")]["df"]) == len(cases) - 1
+
+
+def test_volumes_csv_keeps_hash_prefixed_subject(tmp_path):
+    manifest = build_cohort(tmp_path / "cohort", n_subjects=2)
+    _prefix_hash_to_s000(manifest)
+    config = EvalConfig(threads=1)
+    result = evaluate_cohort(parse_manifest(manifest), config)
+    bundle = write_report_bundle(result, tmp_path / "out", config)
+    rows = read_volumes_csv(bundle.volumes_csv)
+    assert [(r.subject, r.method) for r in rows] == [
+        (r.subject, r.method) for r in result.volume_table
+    ]
+    assert rows[0].subject == "#s000"
