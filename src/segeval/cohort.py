@@ -2,10 +2,10 @@
 
 Cases are independent by construction and evaluated in parallel; per-case
 failures degrade to error-status records so a long batch never dies on one
-bad file. Records keep manifest order and the volume table uses
-lexicographic order, so repeated runs are byte-identical regardless of the
-worker count. The ANOVA over methods is computed from the records by
-:mod:`segeval.reporting`, in one place.
+bad file, nor on one worker the OS kills. Records keep manifest order and
+the volume table uses lexicographic order, so repeated runs are
+byte-identical regardless of the worker count. The ANOVA over methods is
+computed from the records by :mod:`segeval.reporting`, in one place.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from .overlap import (
 )
 from .stats import GroupSample, group_summary
 from .surface import compare_surfaces
-from .volume import BinarizeRule, binarize_pair, load_volume
+from .volume import BinarizeRule, load_mask_pair
 
 # Canonical metric column order; also the metric names accepted by the
 # ANOVA entry points and used as CSV headers.
@@ -264,15 +265,13 @@ def parse_manifest(path: str | Path) -> list[CaseSpec]:
 def compute_record(case: CaseSpec, config: EvalConfig) -> MetricRecord:
     """Compute all nine metrics for one case; raises on any failure.
 
-    Counts, volumes, surfaces and distance fields all run on the bounding
-    box of the union of the two masks (see :func:`binarize_pair`), not on
-    the full grid.
+    :func:`~segeval.volume.load_mask_pair` streams both files in z-slab
+    chunks and keeps only the masks cropped to the bounding box of their
+    union, so no full-grid array is held. Counts, volumes, surfaces and
+    distances all run on that box.
     """
-    vol_a = load_volume(case.auto_path)
-    vol_m = load_volume(case.manual_path)
     rule = case.binarize_rule or config.default_rule
-    mask_a, mask_m = binarize_pair(vol_a, vol_m, rule)
-    del vol_a, vol_m  # only the cropped masks are needed from here on
+    mask_a, mask_m = load_mask_pair(case.auto_path, case.manual_path, rule)
     counts = confusion_counts(mask_a, mask_m)
     v_auto = volume(mask_a, config.unit)
     v_manual = volume(mask_m, config.unit)
@@ -306,19 +305,57 @@ def evaluate_case(case: CaseSpec, config: EvalConfig) -> MetricRecord:
     try:
         return compute_record(case, config)
     except Exception as e:  # noqa: BLE001 - isolation is the contract here
-        return MetricRecord(
-            subject=case.subject_id,
-            method=case.method,
-            structure=case.structure,
-            field_strength=case.field_strength,
-            space=config.space,
-            status="error",
-            error=f"{type(e).__name__}: {e}",
-        )
+        return _error_record(case, config, e)
+
+
+def _error_record(case: CaseSpec, config: EvalConfig, e: BaseException) -> MetricRecord:
+    return MetricRecord(
+        subject=case.subject_id,
+        method=case.method,
+        structure=case.structure,
+        field_strength=case.field_strength,
+        space=config.space,
+        status="error",
+        error=f"{type(e).__name__}: {e}",
+    )
 
 
 def _case_worker(args: tuple[CaseSpec, EvalConfig]) -> MetricRecord:
     return evaluate_case(*args)
+
+
+def _evaluate_alone(job: tuple[CaseSpec, EvalConfig]) -> MetricRecord:
+    """Evaluate one case in a worker of its own; the worker's death is its error."""
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        try:
+            return pool.submit(_case_worker, job).result()
+        except BrokenProcessPool as e:
+            return _error_record(*job, e)
+
+
+def _pool_records(
+    jobs: list[tuple[CaseSpec, EvalConfig]], workers: int
+) -> list[MetricRecord]:
+    """Evaluate the jobs in worker processes, in order.
+
+    A worker killed by the OS (out of memory, a signal) breaks its pool. The
+    first case without a record was then in flight, so it is rerun in a
+    worker of its own: if that worker dies too, the case becomes an error
+    record. The cases after it go on in a fresh pool, so each gets the
+    record a serial run gives.
+    """
+    records: list[MetricRecord] = []
+    while len(records) < len(jobs):
+        rest = jobs[len(records):]
+        size = min(workers, len(rest))
+        chunksize = max(1, len(rest) // (size * 4))
+        try:
+            with ProcessPoolExecutor(max_workers=size) as pool:
+                for record in pool.map(_case_worker, rest, chunksize=chunksize):
+                    records.append(record)
+        except BrokenProcessPool:
+            records.append(_evaluate_alone(jobs[len(records)]))
+    return records
 
 
 def _volume_rows(records: list[MetricRecord]) -> list[VolumeRow]:
@@ -345,19 +382,17 @@ def evaluate_cohort(
 ) -> CohortResult:
     """Evaluate every case (in parallel) and assemble the volume table.
 
-    Under subject pooling, subjects with any errored case are listed in the
-    provenance as excluded.
+    A case whose worker dies twice, in the pool and then alone, gets an
+    error record (``BrokenProcessPool: ...``). Under subject pooling,
+    subjects with any errored case are listed in the provenance as excluded.
     """
     if not cases:
         raise ValueError("cohort has no cases")
     workers = min(config.threads or os.cpu_count() or 1, len(cases))
-    jobs = [(case, config) for case in cases]
     if workers == 1:
         records = [evaluate_case(case, config) for case in cases]
     else:
-        chunksize = max(1, len(jobs) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_case_worker, jobs, chunksize=chunksize))
+        records = _pool_records([(case, config) for case in cases], workers)
 
     n_ok = sum(1 for r in records if r.status == "ok")
     if n_ok == 0:

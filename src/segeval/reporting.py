@@ -180,6 +180,11 @@ def read_metrics_csv(path: str | Path) -> list[MetricRecord]:
             metrics = {
                 m: (float(row[m]) if row[m] != "" else None) for m in METRIC_NAMES
             }
+            blank = [m for m, v in metrics.items() if v is None]
+            if blank and row["status"] == "ok":
+                raise MalformedCsv(
+                    f"{path}: row {row_no}: ok row has blank {', '.join(blank)}"
+                )
             records.append(
                 MetricRecord(
                     subject=row["subject"],

@@ -13,16 +13,29 @@ Two on-disk formats are read, both optionally gzip-compressed:
 Orientation matrices are ignored: both masks of a comparison pair are
 assumed co-registered on the same grid.
 
-:func:`binarize_pair` is the case pipeline's entry point: it binarizes both
-volumes of a pair and crops them to the bounding box of their union, so every
-later step works on that box instead of the full grid.
+Both payloads are x-fastest (Fortran order), so every z-slab is
+``nx·ny·itemsize`` contiguous bytes. One chunk decoder reads every file. It
+parses the header from a small decoded prefix, then hands out the payload in
+chunks of ``_CHUNK_SLABS`` whole z-slabs, with the scale factors applied.
+Plain files are sliced in place. A gzip stream is inflated only as far as
+each chunk needs, so decoding is bounded by the size the header declares.
+The rest of the stream is then inflated in bounded pieces and dropped, which
+still checks its CRC trailer. Multi-member gzip files are read member after
+member.
+
+The decoder has two consumers. :func:`load_volume` assembles the full grid.
+:func:`load_mask_pair`, the case pipeline's entry point, applies the
+binarization rule per chunk and keeps only the box of each chunk's members.
+It then assembles both masks cropped to the bounding box of their union, so
+no full-grid array is ever built. :func:`binarize_pair` crops two loaded
+volumes with the same box and crop code.
 """
 
 from __future__ import annotations
 
-import gzip
 import struct
 import zlib
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -50,6 +63,10 @@ _RAWVOL_DTYPES = {
 }
 _RAWVOL_MAGIC = b"RAWVOL1\n"
 
+_CHUNK_SLABS = 16  # z-slabs per decoded chunk
+_HEADER_BYTES = 4096  # decoded prefix that must hold a rawvol header
+_DRAIN_BYTES = 1 << 20  # largest piece inflated to skip or drop bytes
+
 
 @dataclass(frozen=True, eq=False)
 class LabelVolume:
@@ -72,8 +89,8 @@ class BinaryMask:
     ``bits`` covers either the whole grid or a box of it whose lowest corner
     sits at ``origin``; voxels outside the box are non-members. ``dims``
     is always the full grid. ``count`` is computed once, so ``bits`` must not
-    change after construction; :func:`binarize` and :func:`binarize_pair`
-    hand out read-only arrays.
+    change after construction; :func:`binarize`, :func:`binarize_pair` and
+    :func:`load_mask_pair` hand out read-only arrays.
     """
 
     dims: tuple[int, int, int]
@@ -115,28 +132,150 @@ def _format_dims(dims: tuple[int, ...]) -> str:
     return "(" + ",".join(str(d) for d in dims) + ")"
 
 
+class _Decoded:
+    """The decoded bytes of one file, read front to back.
+
+    Plain files are sliced in place. A gzip stream is inflated with
+    ``max_length``, so no more is decoded than the reader asks for; members
+    follow one another, zero padding between them skipped, as in
+    :func:`gzip.decompress`.
+    """
+
+    def __init__(self, raw: bytes, path: str) -> None:
+        self.path = path
+        self._held = memoryview(raw)  # decoded, not yet read
+        self._inflater = None
+        if raw[:2] == b"\x1f\x8b":
+            self._held = memoryview(b"")
+            self._input = raw  # compressed, not yet consumed
+            self._inflater = zlib.decompressobj(wbits=31)
+
+    def _inflate(self, n: int) -> bytes:
+        """Up to ``n`` more decoded bytes; empty only at the end of the stream."""
+        while True:
+            inflater = self._inflater
+            if inflater.eof:
+                rest = inflater.unused_data.lstrip(b"\x00")
+                if not rest:
+                    return b""
+                inflater = self._inflater = zlib.decompressobj(wbits=31)
+                self._input = rest
+            try:
+                out = inflater.decompress(self._input, n)
+            except zlib.error as e:
+                raise CorruptFile(f"{self.path}: bad gzip stream ({e})") from None
+            self._input = inflater.unconsumed_tail
+            if out:
+                return out
+            if not self._input and not inflater.eof:
+                raise CorruptFile(
+                    f"{self.path}: bad gzip stream (Compressed file ended "
+                    "before the end-of-stream marker was reached)"
+                )
+
+    def read(self, n: int) -> bytes | memoryview:
+        """The next ``n`` decoded bytes; fewer only where the stream ends."""
+        out = self._held[:n]
+        self._held = self._held[len(out):]
+        if len(out) == n or self._inflater is None:
+            return out
+        parts = [bytes(out)] if len(out) else []
+        need = n - len(out)
+        while need:
+            piece = self._inflate(need)
+            if not piece:
+                break
+            parts.append(piece)
+            need -= len(piece)
+        return parts[0] if len(parts) == 1 else b"".join(parts)
+
+    def peek(self, n: int) -> bytes:
+        """The next ``n`` decoded bytes (fewer where the stream ends), left unread."""
+        if self._inflater is not None and len(self._held) < n:
+            self._held = memoryview(self.read(n))
+        return bytes(self._held[:n])
+
+    def skip(self, n: int) -> None:
+        while n > 0:
+            got = len(self.read(min(n, _DRAIN_BYTES)))
+            if not got:
+                return
+            n -= got
+
+    def drain(self) -> None:
+        """Inflate and drop the rest of the stream, which checks its CRC trailers."""
+        if self._inflater is not None:
+            while self._inflate(_DRAIN_BYTES):
+                pass
+
+
+class _VolumeFile:
+    """A volume file whose header is parsed and whose payload is not yet read."""
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = str(path)
+        stream = _Decoded(Path(path).read_bytes(), self.path)
+        # a NIfTI prefix ends at the header, so the first chunk needs no join
+        head = stream.peek(348)
+        parse = _parse_nifti
+        if head.startswith(_RAWVOL_MAGIC):
+            head = stream.peek(_HEADER_BYTES)
+            parse = _parse_rawvol
+        self.dims, self.spacing, self._dtype, self._scale, offset = parse(head, self.path)
+        stream.skip(offset)
+        self._stream = stream
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the values :meth:`chunks` yields, in native byte order."""
+        return np.dtype(np.float64) if self._scale else self._dtype.newbyteorder("=")
+
+    def chunks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(z0, values)`` for each chunk of ``_CHUNK_SLABS`` z-slabs.
+
+        ``values`` is the ``(nx, ny, k)`` block starting at slab ``z0``, with
+        the scale factors applied. After the last chunk the rest of the
+        stream is drained, then the spacing and NaN voxels are checked, in
+        the order a whole decoded file was checked in.
+        """
+        nx, ny, nz = self.dims
+        slab = nx * ny * self._dtype.itemsize
+        has_nan = False
+        for z0 in range(0, nz, _CHUNK_SLABS):
+            k = min(_CHUNK_SLABS, nz - z0)
+            buf = self._stream.read(k * slab)
+            if len(buf) < k * slab:
+                raise CorruptFile(
+                    f"{self.path}: payload has {z0 * slab + len(buf)} bytes, "
+                    f"header promises {nz * slab}"
+                )
+            values = np.frombuffer(buf, dtype=self._dtype).reshape((nx, ny, k), order="F")
+            if self._scale:
+                values = values.astype(np.float64) * self._scale[0] + self._scale[1]
+            # a NaN compares unequal to 0, so "nonzero" would count it as a member
+            if values.dtype.kind == "f" and not has_nan:
+                has_nan = bool(np.isnan(values).any())
+            yield z0, values
+        self._stream.drain()
+        _check_spacing(self.spacing, self.path)
+        if has_nan:
+            raise CorruptFile(f"{self.path}: volume holds NaN voxels")
+
+
 def load_volume(path: str | Path) -> LabelVolume:
     """Load a label volume from ``.nii``, ``.nii.gz``, or ``.rawvol`` (+gz).
 
     The format is detected from content, never from the extension; gzip
-    payloads are decompressed transparently.
+    payloads are decompressed transparently, no further than the header
+    declares (the rest of the stream is only checked).
     """
-    path = Path(path)
-    raw = path.read_bytes()
-    if raw[:2] == b"\x1f\x8b":
-        try:
-            raw = gzip.decompress(raw)
-        except (OSError, EOFError, zlib.error) as e:
-            raise CorruptFile(f"{path}: bad gzip stream ({e})") from None
-    if raw.startswith(_RAWVOL_MAGIC):
-        dims, spacing, data = _parse_rawvol(raw, str(path))
-    else:
-        dims, spacing, data = _parse_nifti(raw, str(path))
-    _check_spacing(spacing, str(path))
-    # a NaN compares unequal to 0, so "nonzero" would count it as a member
-    if data.dtype.kind == "f" and np.isnan(data).any():
-        raise CorruptFile(f"{path}: volume holds NaN voxels")
-    return LabelVolume(dims=dims, spacing=spacing, data=data, source_path=str(path))
+    src = _VolumeFile(path)
+    # the whole file is validated before the declared grid is allocated
+    chunks = list(src.chunks())
+    data = np.empty(src.dims, dtype=src.dtype, order="F")
+    for z0, values in chunks:
+        data[:, :, z0 : z0 + values.shape[2]] = values
+    return LabelVolume(dims=src.dims, spacing=src.spacing, data=data, source_path=src.path)
 
 
 def _check_spacing(spacing: tuple[float, float, float], path: str) -> None:
@@ -144,18 +283,19 @@ def _check_spacing(spacing: tuple[float, float, float], path: str) -> None:
         raise NonPositiveSpacing(f"{path}: spacing {spacing} must be positive")
 
 
-def _parse_nifti(raw: bytes, path: str):
-    if len(raw) < 348:
+def _parse_nifti(head: bytes, path: str):
+    """Grid, spacing, stored dtype, scale factors and payload offset of a NIfTI-1 header."""
+    if len(head) < 348:
         raise UnsupportedFormat(f"{path}: too short for a NIfTI-1 header")
-    le_size = struct.unpack_from("<i", raw, 0)[0]
-    be_size = struct.unpack_from(">i", raw, 0)[0]
+    le_size = struct.unpack_from("<i", head, 0)[0]
+    be_size = struct.unpack_from(">i", head, 0)[0]
     if le_size == 348:
         order = "<"
     elif be_size == 348:
         order = ">"
     else:
         raise UnsupportedFormat(f"{path}: unrecognized magic (not NIfTI-1 or rawvol)")
-    magic = raw[344:348]
+    magic = head[344:348]
     if magic == b"ni1\x00":
         raise UnsupportedFormat(
             f"{path}: NIfTI-1 header+data pairs (.hdr/.img) are not supported"
@@ -163,7 +303,7 @@ def _parse_nifti(raw: bytes, path: str):
     if magic != b"n+1\x00":
         raise UnsupportedFormat(f"{path}: bad NIfTI-1 magic {magic!r}")
 
-    dim = struct.unpack_from(order + "8h", raw, 40)
+    dim = struct.unpack_from(order + "8h", head, 40)
     rank = dim[0]
     if rank < 1 or rank > 7:
         raise CorruptFile(f"{path}: NIfTI dim[0]={rank} out of range")
@@ -178,8 +318,8 @@ def _parse_nifti(raw: bytes, path: str):
     if nx < 1 or ny < 1 or nz < 1:
         raise CorruptFile(f"{path}: non-positive grid dims {(nx, ny, nz)}")
 
-    datatype = struct.unpack_from(order + "h", raw, 70)[0]
-    bitpix = struct.unpack_from(order + "h", raw, 72)[0]
+    datatype = struct.unpack_from(order + "h", head, 70)[0]
+    bitpix = struct.unpack_from(order + "h", head, 72)[0]
     if datatype not in _NIFTI_DTYPES:
         raise UnsupportedDatatype(f"{path}: NIfTI datatype code {datatype}")
     dtype = np.dtype(_NIFTI_DTYPES[datatype]).newbyteorder(order)
@@ -188,43 +328,33 @@ def _parse_nifti(raw: bytes, path: str):
             f"{path}: bitpix {bitpix} inconsistent with datatype code {datatype}"
         )
 
-    pixdim = struct.unpack_from(order + "8f", raw, 76)
+    pixdim = struct.unpack_from(order + "8f", head, 76)
     spacing = (float(pixdim[1]), float(pixdim[2]), float(pixdim[3]))
-    vox_offset = int(struct.unpack_from(order + "f", raw, 108)[0])
+    vox_offset = int(struct.unpack_from(order + "f", head, 108)[0])
     if vox_offset < 348:
         vox_offset = 348
-    scl_slope = float(struct.unpack_from(order + "f", raw, 112)[0])
-    scl_inter = float(struct.unpack_from(order + "f", raw, 116)[0])
+    scl_slope = float(struct.unpack_from(order + "f", head, 112)[0])
+    scl_inter = float(struct.unpack_from(order + "f", head, 116)[0])
     if not (np.isfinite(scl_slope) and np.isfinite(scl_inter)):
         raise CorruptFile(
             f"{path}: non-finite scale factors scl_slope={scl_slope} scl_inter={scl_inter}"
         )
-
-    nvox = nx * ny * nz
-    need = vox_offset + nvox * dtype.itemsize
-    if len(raw) < need:
-        raise CorruptFile(
-            f"{path}: payload has {len(raw) - vox_offset} bytes, "
-            f"header promises {nvox * dtype.itemsize}"
-        )
-    flat = np.frombuffer(raw, dtype=dtype, count=nvox, offset=vox_offset)
-    data = flat.reshape((nx, ny, nz), order="F")
-    data = np.asarray(data, dtype=data.dtype.newbyteorder("="))
     # slope of exactly 0 means "no scaling" per the NIfTI convention
+    scale = None
     if scl_slope != 0.0 and not (scl_slope == 1.0 and scl_inter == 0.0):
-        data = data.astype(np.float64) * scl_slope + scl_inter
-    return (nx, ny, nz), spacing, data
+        scale = (scl_slope, scl_inter)
+    return (nx, ny, nz), spacing, dtype, scale, vox_offset
 
 
-def _parse_rawvol(raw: bytes, path: str):
-    body = raw[len(_RAWVOL_MAGIC):]
+def _parse_rawvol(head: bytes, path: str):
+    """Grid, spacing, stored dtype, no scale factors and payload offset of a rawvol header."""
     dims = spacing = dtype = None
-    offset = 0
+    offset = len(_RAWVOL_MAGIC)
     while True:
-        nl = body.find(b"\n", offset)
+        nl = head.find(b"\n", offset)
         if nl < 0:
             raise CorruptFile(f"{path}: rawvol header not terminated by 'end'")
-        line = body[offset:nl].decode("ascii", errors="replace").strip()
+        line = head[offset:nl].decode("ascii", errors="replace").strip()
         offset = nl + 1
         if line == "end":
             break
@@ -253,17 +383,7 @@ def _parse_rawvol(raw: bytes, path: str):
         raise CorruptFile(f"{path}: rawvol header missing dims/spacing/datatype")
     if any(d < 1 for d in dims):
         raise CorruptFile(f"{path}: non-positive rawvol dims {dims}")
-    nvox = dims[0] * dims[1] * dims[2]
-    payload = body[offset:]
-    if len(payload) < nvox * dtype.itemsize:
-        raise CorruptFile(
-            f"{path}: payload has {len(payload)} bytes, "
-            f"header promises {nvox * dtype.itemsize}"
-        )
-    flat = np.frombuffer(payload, dtype=dtype, count=nvox)
-    data = flat.reshape(dims, order="F")
-    data = np.asarray(data, dtype=data.dtype.newbyteorder("="))
-    return dims, spacing, data
+    return dims, spacing, dtype, None, offset
 
 
 def _apply_rule(data: np.ndarray, rule: BinarizeRule) -> np.ndarray:
@@ -286,38 +406,102 @@ def binarize(vol: LabelVolume, rule: BinarizeRule) -> BinaryMask:
     return BinaryMask(dims=vol.dims, spacing=vol.spacing, bits=bits)
 
 
+@dataclass(frozen=True, eq=False)
+class _Members:
+    """The members of one binarized volume, as boxes of flags.
+
+    Each piece is ``(corner, bits)``: a box holding every member of one
+    z-chunk, and the box's lowest corner in the grid.
+    """
+
+    dims: tuple[int, int, int]
+    spacing: tuple[float, float, float]
+    pieces: list[tuple[tuple[int, int, int], np.ndarray]]
+
+
+def _members(
+    vol: LabelVolume | _VolumeFile,
+    chunks: Iterable[tuple[int, np.ndarray]],
+    rule: BinarizeRule,
+) -> _Members:
+    pieces = []
+    for z0, values in chunks:
+        bits = _apply_rule(values, rule)
+        if not bits.any():
+            continue
+        box = []
+        for axis in range(3):
+            others = tuple(ax for ax in range(3) if ax != axis)
+            hits = np.flatnonzero(bits.any(axis=others))
+            box.append(slice(int(hits[0]), int(hits[-1]) + 1))
+        corner = (box[0].start, box[1].start, z0 + box[2].start)
+        # a copy, so the chunk's full-slab flags are freed
+        pieces.append((corner, bits[tuple(box)].copy()))
+    return _Members(vol.dims, vol.spacing, pieces)
+
+
+def _crop_pair(a: _Members, m: _Members) -> tuple[BinaryMask, BinaryMask]:
+    """Both masks on the bounding box of their union; both-empty pairs get an empty box.
+
+    The crop is exact without padding: no member of either mask lies outside
+    the box, and the grid edge already counts as "outside" for surfaces.
+    The masks keep the full ``dims``, so TN still counts the whole grid.
+    """
+    pieces = a.pieces + m.pieces
+    origin = end = (0, 0, 0)
+    if pieces:
+        origin = tuple(min(c[i] for c, _ in pieces) for i in range(3))
+        end = tuple(max(c[i] + bits.shape[i] for c, bits in pieces) for i in range(3))
+    shape = tuple(e - o for e, o in zip(end, origin))
+    masks = []
+    for members in (a, m):
+        crop = np.zeros(shape, dtype=bool)
+        for corner, bits in members.pieces:
+            at = tuple(
+                slice(c - o, c - o + n) for c, o, n in zip(corner, origin, bits.shape)
+            )
+            crop[at] = bits
+        crop.flags.writeable = False
+        masks.append(BinaryMask(members.dims, members.spacing, crop, origin))
+    return masks[0], masks[1]
+
+
 def binarize_pair(
     vol_a: LabelVolume, vol_m: LabelVolume, rule: BinarizeRule
 ) -> tuple[BinaryMask, BinaryMask]:
     """Binarize a co-registered pair, both cropped to the box around their union.
 
-    The crop is exact without padding: no member of either mask lies outside
-    the box, and the grid edge already counts as "outside" for surfaces.
-    The masks keep the full ``dims``, so TN still counts the whole grid.
-    Both-empty pairs yield an empty box.
+    The same box and crop as :func:`load_mask_pair`, on volumes already
+    loaded in full.
     """
     check_compatible(vol_a, vol_m)
-    bits_a = _apply_rule(vol_a.data, rule)
-    bits_m = _apply_rule(vol_m.data, rule)
-    union = bits_a | bits_m
-    box = []
-    for axis in range(3):
-        others = tuple(ax for ax in range(3) if ax != axis)
-        hits = np.flatnonzero(union.any(axis=others))
-        box.append(slice(int(hits[0]), int(hits[-1]) + 1) if hits.size else slice(0, 0))
-    box = tuple(box)
-    origin = tuple(sl.start for sl in box)
-    masks = []
-    for vol, bits in ((vol_a, bits_a), (vol_m, bits_m)):
-        # a copy, so the full-grid array is freed once this returns
-        crop = bits[box].copy()
-        crop.flags.writeable = False
-        masks.append(BinaryMask(vol.dims, vol.spacing, crop, origin))
-    return masks[0], masks[1]
+    return _crop_pair(
+        _members(vol_a, [(0, vol_a.data)], rule),
+        _members(vol_m, [(0, vol_m.data)], rule),
+    )
+
+
+def load_mask_pair(
+    auto_path: str | Path, manual_path: str | Path, rule: BinarizeRule
+) -> tuple[BinaryMask, BinaryMask]:
+    """Read and binarize a co-registered pair, both cropped to the box around their union.
+
+    Each file is decoded chunk by chunk and validated completely, the
+    automatic one first; then the grids are checked, as :func:`load_volume`
+    twice and :func:`binarize_pair` would. Only the boxes of each chunk's
+    members are kept, so neither full grid is ever held. The masks equal
+    ``binarize_pair(load_volume(auto_path), load_volume(manual_path), rule)``.
+    """
+    auto = _VolumeFile(auto_path)
+    members_a = _members(auto, auto.chunks(), rule)
+    manual = _VolumeFile(manual_path)
+    members_m = _members(manual, manual.chunks(), rule)
+    check_compatible(members_a, members_m)
+    return _crop_pair(members_a, members_m)
 
 
 def check_compatible(
-    a: BinaryMask | LabelVolume, m: BinaryMask | LabelVolume
+    a: BinaryMask | LabelVolume | _Members, m: BinaryMask | LabelVolume | _Members
 ) -> None:
     """Verify the two masks (or volumes) live on the same grid.
 

@@ -59,11 +59,22 @@ def nifti_bytes(
     return bytes(header) + b"\x00" * (vox_offset - 348) + payload
 
 
+def gzip_members(blob: bytes, members: int = 1) -> bytes:
+    """``blob`` as ``members`` gzip members of near-equal size, concatenated."""
+    cuts = [len(blob) * i // members for i in range(members + 1)]
+    view = memoryview(blob)
+    return b"".join(
+        gzip.compress(view[lo:hi], compresslevel=1) for lo, hi in zip(cuts, cuts[1:])
+    )
+
+
 def write_nifti(path: Path, data: np.ndarray, spacing=(1.0, 1.0, 1.0), *,
-                gzipped: bool = False, **kwargs) -> Path:
-    blob = nifti_bytes(data, spacing, **kwargs)
-    if gzipped:
-        blob = gzip.compress(blob, compresslevel=1)
+                gzipped: bool = False, members: int = 1, vox_offset: int = 352,
+                **kwargs) -> Path:
+    """Write a NIfTI-1 file; ``members`` > 1 gzips it as that many members."""
+    blob = nifti_bytes(data, spacing, vox_offset=vox_offset, **kwargs)
+    if gzipped or members > 1:
+        blob = gzip_members(blob, members)
     Path(path).write_bytes(blob)
     return Path(path)
 
@@ -82,10 +93,11 @@ def rawvol_bytes(data: np.ndarray, spacing=(1.0, 1.0, 1.0)) -> bytes:
 
 
 def write_rawvol(path: Path, data: np.ndarray, spacing=(1.0, 1.0, 1.0), *,
-                 gzipped: bool = False) -> Path:
+                 gzipped: bool = False, members: int = 1) -> Path:
+    """Write a rawvol file; ``members`` > 1 gzips it as that many members."""
     blob = rawvol_bytes(data, spacing)
-    if gzipped:
-        blob = gzip.compress(blob, compresslevel=1)
+    if gzipped or members > 1:
+        blob = gzip_members(blob, members)
     Path(path).write_bytes(blob)
     return Path(path)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -147,6 +148,26 @@ class TestEvaluateCommand:
         assert main(["evaluate", str(manifest), str(out), "--threads", "64"]) == 0
         assert sizes == [2]
 
+    def test_dead_worker_becomes_an_error_row(self, tmp_path, capsys, monkeypatch):
+        # pools fork, so the workers inherit the patched compute_record
+        parent, real = os.getpid(), cohort.compute_record
+
+        def dies_on_beta(case, config):
+            if case.method == "beta" and os.getpid() != parent:
+                os._exit(1)
+            return real(case, config)
+
+        monkeypatch.setattr(cohort, "compute_record", dies_on_beta)
+        manifest = build_cohort(tmp_path / "cohort", n_subjects=1,
+                                structures=("left_hippocampus",))
+        out = tmp_path / "out"
+        assert main(["evaluate", str(manifest), str(out), "--threads", "2"]) == 0
+        assert "2/3 cases ok" in capsys.readouterr().out
+        rows = {r.method: r for r in read_metrics_csv(out / "metrics.csv")}
+        assert rows["beta"].status == "error"
+        assert rows["beta"].error.startswith("BrokenProcessPool: ")
+        assert rows["alpha"].status == rows["gamma"].status == "ok"
+
     def test_config_comment_present(self, tmp_path, capsys):
         manifest = build_cohort(tmp_path / "cohort", n_subjects=1)
         out = tmp_path / "out"
@@ -220,6 +241,25 @@ class TestAnovaCommand:
 
     def test_missing_csv_exit_1(self, tmp_path, capsys):
         assert main(["anova", str(tmp_path / "none.csv"), "dice"]) == 1
+
+    def test_blank_metric_on_an_ok_row_exit_1(self, tmp_path, capsys):
+        manifest = build_cohort(tmp_path / "cohort", n_subjects=2)
+        out = tmp_path / "out"
+        assert main(["evaluate", str(manifest), str(out), "--threads", "1"]) == 0
+        lines = (out / "metrics.csv").read_text().splitlines()
+        header = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+        names = lines[header].split(",")
+        cells = lines[header + 2].split(",")
+        assert cells[names.index("status")] == "ok"
+        cells[names.index("dice")] = ""
+        lines[header + 2] = ",".join(cells)
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["anova", str(blank), "dice"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("MalformedCsv:")
+        assert "row 3: ok row has blank dice" in err
 
 
 class TestSubgroupCommand:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
 from helpers import build_cohort, sphere_bits, write_rawvol
 
+from segeval import cohort
 from segeval.cohort import (
     METRIC_NAMES,
     CaseSpec,
@@ -212,6 +214,29 @@ class TestEvaluateCohort:
         for i, (c, d) in enumerate(zip(clean, dirty)):
             if i != 3:
                 assert c == d
+
+    def test_dead_workers_sink_only_their_cases(self, tmp_path, monkeypatch):
+        manifest = build_cohort(tmp_path, n_subjects=3)
+        cases = parse_manifest(manifest)
+        serial = evaluate_cohort(cases, EvalConfig(threads=1)).records
+        doomed = {cases[1].auto_path, cases[10].auto_path}
+        # pools fork, so the workers inherit the patched compute_record
+        parent, real = os.getpid(), cohort.compute_record
+
+        def dies_on_doomed(case, config):
+            if case.auto_path in doomed and os.getpid() != parent:
+                os._exit(1)
+            return real(case, config)
+
+        monkeypatch.setattr(cohort, "compute_record", dies_on_doomed)
+        pooled = evaluate_cohort(cases, EvalConfig(threads=2)).records
+        for case, s, p in zip(cases, serial, pooled):
+            if case.auto_path in doomed:
+                assert p.status == "error"
+                assert p.error.startswith("BrokenProcessPool: ")
+                assert (p.subject, p.method, p.structure) == (s.subject, s.method, s.structure)
+            else:
+                assert p == s
 
     def test_all_cases_failed(self, tmp_path):
         manifest = _write_manifest(

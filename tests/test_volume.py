@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import gzip
+import importlib
 import math
+import struct
 import tempfile
+import tracemalloc
+import zlib
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from helpers import make_volume, nifti_bytes, rawvol_bytes, write_nifti, write_r
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segeval import cohort as cohort_module
 from segeval.cohort import CaseSpec, EvalConfig, compute_record
 from segeval.errors import (
     CorruptFile,
@@ -27,8 +33,13 @@ from segeval.volume import (
     binarize,
     binarize_pair,
     check_compatible,
+    load_mask_pair,
     load_volume,
 )
+
+
+# the attribute segeval.volume is the function overlap.volume, not this module
+volume_module = importlib.import_module("segeval.volume")
 
 
 def _arange_vol(dims, dtype=np.uint8):
@@ -381,3 +392,171 @@ def test_gzip_magic_sniffing_ignores_extension(tmp_path):
     path = tmp_path / "misnamed.rawvol"  # gz content behind a plain name
     path.write_bytes(blob)
     np.testing.assert_array_equal(load_volume(path).data, data)
+
+
+# --- the chunk decoder --------------------------------------------------------
+
+def _peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_decoding_is_bounded_by_the_declared_size(tmp_path):
+    # a .nii.gz declaring 2x2x2 whose stream inflates to ~200 MiB of zeros
+    data = np.zeros((2, 2, 2), np.uint8)
+    data[1, 0, 1] = 1
+    deflate = zlib.compressobj(1, wbits=31)
+    parts = [deflate.compress(nifti_bytes(data))]
+    zeros = bytes(1 << 20)
+    parts += [deflate.compress(zeros) for _ in range(200)]
+    parts.append(deflate.flush())
+    path = tmp_path / "bomb.nii.gz"
+    path.write_bytes(b"".join(parts))
+    assert path.stat().st_size < 1 << 20
+    vol, peak = _peak_mib(load_volume, path)
+    np.testing.assert_array_equal(vol.data, data)
+    assert peak < 16
+    case = CaseSpec("s", "m", "left", str(path), str(path))
+    record, peak = _peak_mib(compute_record, case, EvalConfig(threads=1))
+    assert record.dice == 1.0
+    assert peak < 16
+
+
+def _corrupt_crc(blob: bytes) -> bytes:
+    blob = bytearray(blob)
+    blob[-8] ^= 0xFF  # the trailer is CRC32 then ISIZE
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("reader", ["load_volume", "load_mask_pair"])
+@pytest.mark.parametrize(
+    "defect",
+    [_corrupt_crc, lambda b: b[: len(b) // 2], lambda b: b[:-4]],
+    ids=["flipped-crc", "cut-in-half", "cut-trailer"],
+)
+def test_corrupt_gzip_stream(tmp_path, reader, defect):
+    path = write_nifti(tmp_path / "v.nii.gz", _arange_vol((6, 5, 40)), gzipped=True)
+    path.write_bytes(defect(path.read_bytes()))
+    with pytest.raises(CorruptFile, match="bad gzip stream"):
+        if reader == "load_volume":
+            load_volume(path)
+        else:
+            load_mask_pair(path, path, BinarizeRule.nonzero())
+
+
+@pytest.mark.parametrize("writer", [write_nifti, write_rawvol])
+@pytest.mark.parametrize("members", [2, 3])
+def test_multi_member_gzip_equals_one_member(tmp_path, writer, members):
+    data = _arange_vol((7, 6, 9), np.int16)
+    one = load_volume(writer(tmp_path / "one.gz", data, gzipped=True))
+    many = load_volume(writer(tmp_path / "many.gz", data, members=members))
+    assert many.dims == one.dims
+    assert many.spacing == one.spacing
+    np.testing.assert_array_equal(many.data, one.data)
+
+
+def test_zero_padding_between_gzip_members_is_skipped(tmp_path):
+    data = _arange_vol((4, 4, 4))
+    blob = rawvol_bytes(data)
+    path = tmp_path / "padded.rawvol.gz"
+    path.write_bytes(
+        gzip.compress(blob[:50]) + bytes(16) + gzip.compress(blob[50:]) + bytes(3)
+    )
+    np.testing.assert_array_equal(load_volume(path).data, data)
+
+
+@pytest.mark.parametrize("gzipped", [False, True])
+def test_huge_declared_grid_with_a_short_payload_is_corrupt(tmp_path, gzipped):
+    blob = bytearray(nifti_bytes(_arange_vol((2, 2, 2))))
+    struct.pack_into("<3h", blob, 42, 30000, 30000, 30000)
+    path = tmp_path / "huge.nii"
+    path.write_bytes(gzip.compress(bytes(blob)) if gzipped else bytes(blob))
+    with pytest.raises(CorruptFile, match="payload has 8 bytes"):
+        load_volume(path)
+    with pytest.raises(CorruptFile, match="payload has 8 bytes"):
+        load_mask_pair(path, path, BinarizeRule.nonzero())
+
+
+def test_vox_offset_beyond_the_header(tmp_path):
+    data = _arange_vol((3, 4, 5), np.float32)
+    for name, gz in (("v.nii", False), ("v.nii.gz", True)):
+        vol = load_volume(write_nifti(tmp_path / name, data, gzipped=gz, vox_offset=6000))
+        np.testing.assert_array_equal(vol.data, data)
+
+
+_RULES = (BinarizeRule.nonzero(), BinarizeRule.equals(2), BinarizeRule.greater_than(1.5))
+
+
+@st.composite
+def _encoded_pairs(draw):
+    """A pair of volumes and how to write them, over every decoder branch."""
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(2)) + (draw(st.integers(1, 8)),)
+    dtype = draw(st.sampled_from(("uint8", "int16", "int32", "float32", "float64")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    empty = draw(st.sampled_from(("none", "none", "auto", "both")))
+    pair = []
+    for role in ("auto", "manual"):
+        values = rng.integers(1, 4, size=dims) * (rng.random(dims) < draw(st.floats(0, 0.6)))
+        if empty == "both" or (empty == "auto" and role == "auto"):
+            values[...] = 0
+        pair.append(values.astype(dtype))
+    nifti = draw(st.booleans())
+    write = {"members": draw(st.integers(0, 3))}  # 0: plain, else gzip members
+    if nifti:
+        write["byteorder"] = draw(st.sampled_from("<>"))
+        write["vox_offset"] = draw(st.sampled_from((352, 353, 400, 5000)))
+        if empty == "none":  # scaling can turn zeros into members
+            write["scl_slope"] = draw(st.sampled_from((0.0, 1.0, 2.5, -1.0)))
+            write["scl_inter"] = draw(st.sampled_from((0.0, -1.0, 0.5)))
+    rule = draw(st.sampled_from(_RULES))
+    slabs = draw(st.sampled_from((1, 3)))
+    return pair, nifti, write, rule, slabs
+
+
+def _write(path, data, nifti, write):
+    write = dict(write)
+    members = write.pop("members")
+    gz = {"gzipped": bool(members), "members": max(members, 1)}
+    if nifti:
+        return str(write_nifti(path, data, **gz, **write))
+    return str(write_rawvol(path, data, **gz))
+
+
+def _outcome(fn):
+    try:
+        return asdict(fn())
+    except Exception as e:  # noqa: BLE001 - the error is the outcome here
+        return (type(e), str(e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_encoded_pairs())
+def test_streamed_pair_equals_the_full_grid_route(example):
+    (auto, manual), nifti, write, rule, slabs = example
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        volume_module, "_CHUNK_SLABS", slabs
+    ):
+        a = _write(Path(tmp) / "a.vol", auto, nifti, write)
+        m = _write(Path(tmp) / "m.vol", manual, nifti, write)
+        streamed = load_mask_pair(a, m, rule)
+        full = binarize_pair(load_volume(a), load_volume(m), rule)
+        for s, f in zip(streamed, full):
+            assert (s.dims, s.spacing, s.origin) == (f.dims, f.spacing, f.origin)
+            assert s.bits.dtype == f.bits.dtype
+            assert s.bits.flags.c_contiguous == f.bits.flags.c_contiguous
+            np.testing.assert_array_equal(s.bits, f.bits, strict=True)
+
+        case = CaseSpec("s", "m", "left", a, m, binarize_rule=rule)
+        config = EvalConfig(threads=1)
+        got = _outcome(lambda: compute_record(case, config))
+        with mock.patch.object(
+            cohort_module,
+            "load_mask_pair",
+            lambda a, m, r: binarize_pair(load_volume(a), load_volume(m), r),
+        ):
+            want = _outcome(lambda: compute_record(case, config))
+    assert got == want
