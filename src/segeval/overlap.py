@@ -52,15 +52,6 @@ class VolumePair:
     unit: str  # "voxels" | "mm3"
 
 
-@dataclass(frozen=True)
-class OverlapResult:
-    dice: float
-    precision: float
-    similarity: float
-    sensitivity: float
-    ravd: float
-
-
 def confusion_counts(a: BinaryMask, m: BinaryMask) -> ConfusionCounts:
     """Tally TP = |A∩M|, FP = |A∖M|, FN = |M∖A|, TN = remainder.
 
@@ -137,13 +128,3 @@ def normalized_volume_difference(v: VolumePair) -> float:
     """|V_A − V_M| / V_M, the unsigned variant of the volume ratio."""
     return abs(ravd(v))
 
-
-def overlap_result(c: ConfusionCounts, v: VolumePair) -> OverlapResult:
-    """Bundle the four overlap scores and the signed volume ratio."""
-    return OverlapResult(
-        dice=dice(c),
-        precision=precision(c),
-        similarity=similarity(c),
-        sensitivity=sensitivity(c),
-        ravd=ravd(v),
-    )

@@ -8,25 +8,44 @@ space (index × spacing per axis).
 
 Two interchangeable routes compute the distance measures:
 
-* an exact Euclidean distance transform sampled at the opposing surface,
-  run on the bounding box of the two surfaces;
+* exact nearest-site distances at the opposing surface's voxels, found on
+  the bounding box of the two surfaces (:func:`_nearest_distances`);
 * exhaustive pairwise distances (:func:`surface_metrics_bruteforce`) —
-  |S_A|·|S_R| pairs, also the testing oracle for the transform.
+  |S_A|·|S_R| pairs, also the testing oracle for the first route.
 
 :func:`compare_surfaces` takes brute force when the pair count is at most
-the number of box voxels, else the transform. Both satisfy the same
+the number of box voxels, else the first route. Both satisfy the same
 contract, so the choice is unobservable except in runtime.
 
-The transform is separable: one pass per axis, each setting
+The first route's values are those of an exact Euclidean distance
+transform. The transform is separable: one pass per axis, each setting
 ``out[i] = min over |k| ≤ w of f[i±k] + step²·k·k`` for a window w. After
 the three passes every squared distance below T = min(step²)·(w+1)² is
 exact, and every other value is an overestimate at or above T. With
 w ≥ max(dims) − 1 the windows span the grid and every value is exact; that
-is what :func:`distance_field` computes. The pipeline needs the transform
-only at the opposing surface's voxels, whose distances are small next to
-the box, so its last pass runs at those voxels alone: it starts with
-w = 4, keeps the values below T, and reruns the rest with w doubled on the
-box around them.
+is what :func:`distance_field` computes. Each value is then the minimum
+over sites of ``(h0·k0·k0 + h1·k1·k1) + h2·k2·k2`` (h = step²), because
+float rounding is monotone: a minimum plus a constant is the minimum of
+the sums.
+
+Surfaces of overlapping structures lie a few voxels apart, so the route
+works at the query voxels, in three stages that each compute that same
+expression:
+
+1. Search in distance order. The offsets within 4 voxels whose value lies
+   below T = min(step²)·5² are sorted into levels of equal value. For each
+   level, one gather on the site grid tests every unsettled query; the
+   first level with a site settles it at that level's value.
+2. Per-query brute force. When |left|·|sites| is at most the voxel count
+   of the next windowed round's box, the leftover queries are finished
+   against every site.
+3. Windowed rounds. Otherwise the transform runs on the box around the
+   leftovers, from w = 8 with w doubled each round, sampled at the
+   leftovers alone, and keeps the values below its bound.
+
+A far-away false-positive island voxel is one leftover query, finished by
+stage 2 at the cost of |sites| terms, not by windows grown to its
+distance over the whole box.
 """
 
 from __future__ import annotations
@@ -38,6 +57,12 @@ import numpy as np
 
 from .errors import EmptyMask, EmptySurface
 from .volume import BinaryMask
+
+# reach R of the distance-order search, in voxels per axis: it settles every
+# squared distance below T = min(step²)·(R+1)²
+_REACH = 4
+# brute-force chunk: query rows × sites per block of squared distances
+_BRUTE_CHUNK = 1 << 20
 
 _OFFSETS_6 = [
     (1, 0, 0), (-1, 0, 0),
@@ -194,6 +219,56 @@ def _squared_edt(sites: np.ndarray, steps: tuple[float, ...], w: int) -> np.ndar
     return d
 
 
+def _axis_terms(h2: float, n: int) -> np.ndarray:
+    """``h2 * k * k`` for k = 0..n-1, as :func:`_window_pass` adds it.
+
+    k = 0 adds nothing there, so its term is 0 even where h2 is inf.
+    """
+    k = np.arange(1, n)
+    return np.concatenate([[0.0], h2 * k * k])
+
+
+def _offset_levels(h2: tuple[float, float, float]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Offsets below the first-round bound, grouped by squared length, ascending.
+
+    The bound is T = min(h2)·(R+1)² with R = ``_REACH``. A length is summed
+    as the window passes sum it, ``(t0 + t1) + t2`` with the terms of
+    :func:`_axis_terms`, so a level's value is bit for bit the transform's
+    value for its offsets. An offset with |k| > R on some axis adds at
+    least T there, so the table misses none.
+    """
+    terms = [_axis_terms(h, _REACH + 1) for h in h2]
+    span = np.arange(-_REACH, _REACH + 1)
+    k = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
+    a = np.abs(k)
+    value = (terms[0][a[:, 0]] + terms[1][a[:, 1]]) + terms[2][a[:, 2]]
+    keep = value < min(h2) * (_REACH + 1) * (_REACH + 1)
+    k, value = k[keep], value[keep]
+    order = np.argsort(value, kind="stable")
+    levels, starts = np.unique(value[order], return_index=True)
+    return levels, np.split(k[order], starts[1:])
+
+
+def _bruteforce_squared(
+    sites: np.ndarray, queries: np.ndarray, terms: list[np.ndarray]
+) -> np.ndarray:
+    """Squared distance from each query to its nearest site, over every site.
+
+    Sums the per-axis ``terms`` (indexed by |offset|) in the window
+    passes' order, so each value equals what a window spanning the grid
+    gives.
+    """
+    out = np.empty(queries.shape[0])
+    rows = max(1, _BRUTE_CHUNK // sites.shape[0])
+    for start in range(0, queries.shape[0], rows):
+        block = queries[start : start + rows]
+        d2 = terms[0][np.abs(block[:, None, 0] - sites[None, :, 0])]
+        for axis in (1, 2):
+            d2 += terms[axis][np.abs(block[:, None, axis] - sites[None, :, axis])]
+        out[start : start + block.shape[0]] = d2.min(axis=1)
+    return out
+
+
 def _nearest_distances(
     sites: np.ndarray,
     queries: np.ndarray,
@@ -202,37 +277,76 @@ def _nearest_distances(
 ) -> np.ndarray:
     """Exact distance from each query voxel to the nearest site voxel.
 
-    Starts with a window of 4 on the whole box and keeps each query whose
-    value is below the exactness bound T. The rest rerun with the window
-    doubled, on the box around them widened by the new window: a site
-    outside that sub-box is at least w+1 voxels away along some axis, so it
-    cannot undercut the bound. Once the window spans the whole box every
-    value is exact.
+    Every value is the minimum over sites of the float expression
+    ``(h0·k0·k0 + h1·k1·k1) + h2·k2·k2`` with h = step², the value a
+    window pass spanning the box gives. Three stages reach it:
+
+    1. Search in distance order: offsets below T = min(h)·(R+1)², R = 4,
+       sorted into levels of equal value. Each level is one gather over the
+       unsettled queries on the site grid padded by R voxels; the first
+       level with a site settles the query at that level's value. A query
+       with no site below T is left over.
+    2. When |left|·|sites| is at most the voxel count of the next windowed
+       round's box, every leftover is finished by brute force over all
+       sites with the same expression.
+    3. Otherwise one windowed round runs with w = 2R, then doubled, on the
+       box around the leftovers widened by w, and keeps each value below
+       min(h)·(w+1)²: a site outside that box is at least w+1 voxels away
+       along some axis, so it cannot undercut the bound. Stage 2 is
+       checked again before each round. A window spanning the box settles
+       every value.
+
+    Float rounding is monotone, so a minimum plus a constant is the minimum
+    of the sums; each stage therefore gives the same bits as the spanning
+    window.
     """
-    grid = np.zeros(dims, dtype=bool)
+    h2 = tuple(step * step for step in steps)
+    padded = np.zeros(tuple(n + 2 * _REACH for n in dims), dtype=bool)
+    grid = padded[_REACH:-_REACH, _REACH:-_REACH, _REACH:-_REACH]
     grid[sites[:, 0], sites[:, 1], sites[:, 2]] = True
+    flat = padded.ravel()
+    strides = np.asarray([padded.shape[1] * padded.shape[2], padded.shape[2], 1])
+    out = np.empty(queries.shape[0])
+    # a query more than R voxels outside the sites' box on some axis has no
+    # offset in the table; it skips the search and stays left over
+    near = (
+        (queries >= sites.min(axis=0) - _REACH) & (queries <= sites.max(axis=0) + _REACH)
+    ).all(axis=1)
+    todo = np.flatnonzero(near)
+    at = (queries[todo] + _REACH) @ strides
+    for value, offsets in zip(*_offset_levels(h2)):
+        hit = flat[at[:, None] + offsets @ strides].any(axis=1)
+        out[todo[hit]] = value
+        todo, at = todo[~hit], at[~hit]
+        if todo.size == 0:
+            break
+    todo = np.concatenate([todo, np.flatnonzero(~near)])
     top = np.asarray(dims) - 1
     full = int(top.max())
-    out = np.empty(queries.shape[0])
-    todo = np.arange(queries.shape[0])
-    lo, hi = np.zeros(3, dtype=np.int64), top
-    w = min(4, full)
-    h2_min = min(step * step for step in steps)
-    while True:
+    h2_min = min(h2)
+    w = 2 * _REACH
+    while todo.size:
+        w = min(w, full)
+        lo = np.maximum(queries[todo].min(axis=0) - w, 0)
+        hi = np.minimum(queries[todo].max(axis=0) + w, top)
+        if todo.size * sites.shape[0] <= math.prod(int(n) for n in hi - lo + 1):
+            terms = [_axis_terms(h, n) for h, n in zip(h2, dims)]
+            out[todo] = _bruteforce_squared(sites, queries[todo], terms)
+            break
         box = tuple(slice(int(l), int(h) + 1) for l, h in zip(lo, hi))
         g = _squared_edt(grid[box], steps[:2], w)
-        vals = _window_sample(g, queries[todo] - lo, w, steps[2] * steps[2])
+        vals = _window_sample(g, queries[todo] - lo, w, h2[2])
+        if w == full:  # the window spans the box: every value is exact, inf too
+            out[todo] = vals
+            break
         # a candidate outside the window adds at least h2·(w+1)·(w+1) on its
         # axis; float products and sums are monotone, so T computed the same
         # way bounds it exactly in floats too
-        done = vals < (np.inf if w == full else h2_min * (w + 1) * (w + 1))
+        done = vals < h2_min * (w + 1) * (w + 1)
         out[todo[done]] = vals[done]
         todo = todo[~done]
-        if todo.size == 0:
-            return np.sqrt(out)
-        w = min(2 * w, full)
-        lo = np.maximum(queries[todo].min(axis=0) - w, 0)
-        hi = np.minimum(queries[todo].max(axis=0) + w, top)
+        w *= 2
+    return np.sqrt(out)
 
 
 def distance_field(

@@ -330,9 +330,10 @@ def _parse_nifti(head: bytes, path: str):
 
     pixdim = struct.unpack_from(order + "8f", head, 76)
     spacing = (float(pixdim[1]), float(pixdim[2]), float(pixdim[3]))
-    vox_offset = int(struct.unpack_from(order + "f", head, 108)[0])
-    if vox_offset < 348:
-        vox_offset = 348
+    vox_offset = struct.unpack_from(order + "f", head, 108)[0]
+    if not np.isfinite(vox_offset):
+        raise CorruptFile(f"{path}: non-finite vox_offset {vox_offset}")
+    vox_offset = max(int(vox_offset), 348)
     scl_slope = float(struct.unpack_from(order + "f", head, 112)[0])
     scl_inter = float(struct.unpack_from(order + "f", head, 116)[0])
     if not (np.isfinite(scl_slope) and np.isfinite(scl_inter)):

@@ -3,11 +3,15 @@ from __future__ import annotations
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import build_cohort, sphere_bits, write_nifti, write_rawvol
 
+import segeval
 from segeval import cohort
 from segeval.cli import build_parser, main
 from segeval.cohort import METRIC_NAMES
@@ -283,3 +287,25 @@ class TestSubgroupCommand:
         capsys.readouterr()
         assert main(["subgroup", str(out / "metrics.csv")]) == 3
         assert "EmptySubgroup" in capsys.readouterr().err
+
+
+def test_import_loads_no_third_party_module_but_numpy():
+    # the runtime depends on numpy alone; a fresh interpreter shows what the
+    # package and its command line pull in
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import segeval, segeval.cli\n"
+        "main = sys.modules['__main__']\n"
+        "loaded = {n.partition('.')[0] for n in set(sys.modules) - before\n"
+        "          if sys.modules[n] is not main}\n"
+        "print(' '.join(sorted(loaded - set(sys.stdlib_module_names))))\n"
+    )
+    src = str(Path(segeval.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["numpy", "segeval"]

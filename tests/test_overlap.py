@@ -279,15 +279,3 @@ class TestIdentities:
     def test_ravd_lower_bound(self):
         assert ravd(VolumePair(0.0, 10.0, "voxels")) == -1.0
 
-
-def test_overlap_result_bundle():
-    from segeval.overlap import overlap_result
-
-    c = ConfusionCounts(6, 2, 3, 53)
-    res = overlap_result(c, VolumePair(8.0, 9.0, "voxels"))
-    assert res.dice == dice(c)
-    assert res.precision == precision(c)
-    assert res.similarity == similarity(c)
-    assert res.sensitivity == sensitivity(c)
-    assert res.ravd == pytest.approx(-1 / 9)
-    assert res.similarity <= min(res.dice, res.precision, res.sensitivity)

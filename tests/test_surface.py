@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import make_mask, make_volume, random_bits, sphere_bits, write_rawvol
 
 from segeval import surface
@@ -365,6 +368,19 @@ class TestCompareSurfacesEngine:
             compare_surfaces(good, make_mask(np.zeros((3, 3, 3), dtype=bool)))
 
 
+def _calls(monkeypatch, name):
+    """Record the positional arguments of every call to ``surface.<name>``."""
+    calls = []
+    real = getattr(surface, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(surface, name, spy)
+    return calls
+
+
 def _edt_windows(monkeypatch):
     """Record (box shape, window) of every windowed transform compare_surfaces runs."""
     calls = []
@@ -419,12 +435,17 @@ class TestWindowedTransform:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_bruteforce(self, monkeypatch, case):
         a_bits, r_bits = self.CASES[case](self.DIMS)
+        leftovers = _calls(monkeypatch, "_bruteforce_squared")
         _, windows = self._check(monkeypatch, make_mask(a_bits), make_mask(r_bits))
-        assert max(w for _, w in windows) > 4  # the window doubled at least once
         if case.startswith("outlier"):
-            # the first round settles the balls; the outlier reruns on a smaller box
-            box = windows[0][0]
-            assert any(math.prod(shape) < math.prod(box) for shape, _ in windows[1:])
+            # the search settles the balls; the lone outlier is finished by
+            # brute force, and no window round runs
+            assert windows == []
+            assert [len(args[1]) for args in leftovers] == [1]
+        else:
+            # the search settles nothing, so windowed rounds run from w = 8
+            assert windows[0][1] == 8
+            assert max(w for _, w in windows) > 8
 
     def test_anisotropic_shift_in_physical_space(self, monkeypatch):
         dims = (30, 30, 30)
@@ -448,6 +469,175 @@ class TestWindowedTransform:
         bits_r[gap] = True
         engine, _ = self._check(monkeypatch, make_mask(bits_a), make_mask(bits_r))
         assert engine.hausdorff == float(gap)
+
+
+def _field_values(sites, queries, dims, space, steps):
+    """The oracle: a full distance field of ``sites``, read at ``queries``."""
+    field = distance_field(SurfacePointSet(indices=sites, space=space, spacing=steps), dims)
+    return field.values_at(queries)
+
+
+@st.composite
+def _staged_queries(draw):
+    """Sites and queries that run all three stages of the nearest-site search.
+
+    Along the first axis of an (nx, ny, nz) box, sites fill the plane x = 0
+    and part of x = 1. Queries at x ≤ 8 lie at most 8 voxels from a site:
+    those within 4 settle in the distance-order search. The full plane
+    x = 7 is left over, and |left|·|sites| ≥ (ny·nz)² exceeds the box, so
+    the w = 8 windowed round runs and settles it. One far query at
+    x = nx − 1 outlasts that round and is finished by brute force. The
+    first axis has the smallest step, so the rounds' bounds hold in
+    physical space too. The axes are then permuted.
+    """
+    nx, ny, nz = draw(st.integers(31, 40)), draw(st.integers(7, 10)), draw(st.integers(7, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sites = np.zeros((nx, ny, nz), dtype=bool)
+    sites[0] = True
+    sites[1] = rng.random((ny, nz)) < draw(st.floats(0, 0.5))
+    queries = np.zeros_like(sites)
+    queries[:9] = rng.random((9, ny, nz)) < draw(st.floats(0, 0.3))
+    queries[7] = True
+    queries[1, 0, 0] = True
+    queries[nx - 1, rng.integers(ny), rng.integers(nz)] = True
+    step = draw(st.floats(0.5, 1.5))
+    steps = (step, draw(st.floats(step, 3.0)), draw(st.floats(step, 3.0)))
+    perm = draw(st.permutations((0, 1, 2)))
+    sites, queries = sites.transpose(perm), queries.transpose(perm)
+    steps = tuple(steps[axis] for axis in perm)
+    return np.argwhere(sites), np.argwhere(queries), sites.shape, steps
+
+
+class TestNearestDistances:
+    """The three-stage nearest-site search against the full distance field."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_staged_queries(), st.sampled_from(("index", "physical")))
+    def test_equals_the_distance_field_bit_for_bit(self, example, space):
+        sites, queries, dims, steps = example
+        if space == "index":
+            steps = (1.0, 1.0, 1.0)
+        rounds, leftovers = [], []
+        real_sample, real_brute = surface._window_sample, surface._bruteforce_squared
+
+        def sample(g, at, w, h2):
+            rounds.append((len(at), w))
+            return real_sample(g, at, w, h2)
+
+        def brute(sites_, queries_, terms):
+            leftovers.append(len(queries_))
+            return real_brute(sites_, queries_, terms)
+
+        with mock.patch.object(surface, "_window_sample", sample), mock.patch.object(
+            surface, "_bruteforce_squared", brute
+        ):
+            got = surface._nearest_distances(sites, queries, dims, steps)
+        want = _field_values(sites, queries, dims, space, steps)
+        np.testing.assert_array_equal(got, want, strict=True)
+        # the search settled some queries, one w = 8 round most of the rest,
+        # and brute force the far one
+        assert [w for _, w in rounds] == [8]
+        assert leftovers == [1]
+        assert rounds[0][0] < len(queries)
+
+    def test_last_level_and_first_leftover(self, monkeypatch):
+        levels, _ = surface._offset_levels((1.0, 1.0, 1.0))
+        assert levels[-1] == 24.0  # T = 25 is not below itself
+        leftovers = _calls(monkeypatch, "_bruteforce_squared")
+        sites = np.array([[0, 0, 0]])
+        queries = np.array([[4, 2, 2], [4, 3, 0], [2, 4, 2], [0, 0, 5]])
+        got = surface._nearest_distances(sites, queries, (9, 9, 9), (1.0, 1.0, 1.0))
+        assert got.tolist() == [math.sqrt(24), 5.0, math.sqrt(24), 5.0]
+        assert [args[1].tolist() for args in leftovers] == [[[4, 3, 0], [0, 0, 5]]]
+
+    def test_offset_range_differs_per_axis(self, rng):
+        steps = (1.2, 1.2, 3.0)
+        levels, offsets = surface._offset_levels(tuple(s * s for s in steps))
+        # 3.0²·2² = 36 is not below T = 1.2²·5² = 36, so the z reach is 1
+        assert np.abs(np.concatenate(offsets)).max(axis=0).tolist() == [4, 4, 1]
+        assert levels.max() < 1.2 * 1.2 * 5 * 5
+        dims = (14, 13, 9)
+        for _ in range(10):
+            sites = np.argwhere(random_bits(rng, dims, 0.01))
+            queries = np.argwhere(random_bits(rng, dims, 0.3))
+            got = surface._nearest_distances(sites, queries, dims, steps)
+            want = _field_values(sites, queries, dims, "physical", steps)
+            np.testing.assert_array_equal(got, want, strict=True)
+
+    def test_a_step_whose_square_overflows(self, rng):
+        # step² = inf: off-site values are inf, which no bound settles below
+        # itself; the spanning window must still end the rounds
+        steps = (1e200, 1.0, 1.0)
+        dims = (12, 9, 8)
+        sites = np.zeros(dims, dtype=bool)
+        sites[0] = random_bits(rng, dims[1:], 0.1)
+        sites, queries = np.argwhere(sites), np.argwhere(random_bits(rng, dims, 0.5))
+        got = surface._nearest_distances(sites, queries, dims, steps)
+        want = _field_values(sites, queries, dims, "physical", steps)
+        np.testing.assert_array_equal(got, want, strict=True)
+        assert np.isinf(got[queries[:, 0] > 0]).all() and np.isfinite(got).any()
+
+    def test_island_pair_never_runs_the_transform(self, monkeypatch):
+        dims = (64, 64, 48)
+        manual = sphere_bits(dims, (16, 16, 12), 8)
+        auto = _ball_with_outlier(dims, (17, 16, 12), 8, (60, 60, 44))
+        for space in ("index", "physical"):
+            spacing = (0.9, 1.1, 1.3)
+            a_mask, m_mask = make_mask(auto, spacing), make_mask(manual, spacing)
+            oracle = surface_metrics_bruteforce(
+                extract_surface(a_mask, space=space), extract_surface(m_mask, space=space)
+            )
+            with monkeypatch.context() as m:
+                m.setattr(surface, "surface_metrics_bruteforce", _must_not_run("brute-force"))
+                m.setattr(surface, "_squared_edt", _must_not_run("windowed transform"))
+                engine = compare_surfaces(a_mask, m_mask, space=space)
+            for name in ("hausdorff", "rms", "assd", "mean_distance", "directed_h_am"):
+                assert abs(getattr(engine, name) - getattr(oracle, name)) <= 1e-9
+            assert engine.hausdorff == engine.directed_h_am > 40
+
+
+def _directed_distances(mask_a, mask_r, space):
+    """Both directed nearest-surface distances, on the surfaces' box as
+    :func:`compare_surfaces` computes them, with the auto surface indices."""
+    s_a = extract_surface(mask_a, space=space)
+    s_r = extract_surface(mask_r, space=space)
+    both = np.vstack([s_a.indices, s_r.indices])
+    lo = both.min(axis=0)
+    dims = tuple(int(n) for n in both.max(axis=0) - lo + 1)
+    steps = mask_a.spacing if space == "physical" else (1.0, 1.0, 1.0)
+    a, r = s_a.indices - lo, s_r.indices - lo
+    d_am = surface._nearest_distances(r, a, dims, steps)
+    d_ma = surface._nearest_distances(a, r, dims, steps)
+    return s_a.indices, d_am, d_ma
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.tuples(*[st.floats(0.8, 1.6)] * 3),
+    st.tuples(*[st.integers(30, 39)] * 3),
+    st.sampled_from(("index", "physical")),
+)
+def test_a_far_island_adds_only_its_own_term(seed, spacing, island, space):
+    # every surface voxel lies in [0, 10)³, so the island is at least 20
+    # voxels out on every axis: farther, at a spacing ratio of at most 2,
+    # than any voxel there is from its nearest opposing surface voxel
+    rng = np.random.default_rng(seed)
+    dims = (40, 40, 40)
+    manual = np.zeros(dims, dtype=bool)
+    auto = np.zeros(dims, dtype=bool)
+    manual[:10, :10, :10] = random_bits(rng, (10, 10, 10), rng.uniform(0.1, 0.8))
+    auto[:10, :10, :10] = random_bits(rng, (10, 10, 10), rng.uniform(0.1, 0.8))
+    with_island = auto.copy()
+    with_island[island] = True
+    m_mask = make_mask(manual, spacing)
+    a_idx, d_am, d_ma = _directed_distances(make_mask(auto, spacing), m_mask, space)
+    a_idx2, d_am2, d_ma2 = _directed_distances(make_mask(with_island, spacing), m_mask, space)
+    assert a_idx2[-1].tolist() == list(island)  # row-major order puts it last
+    np.testing.assert_array_equal(a_idx2[:-1], a_idx)
+    np.testing.assert_array_equal(d_am2[:-1], d_am, strict=True)
+    np.testing.assert_array_equal(d_ma2, d_ma, strict=True)
+    assert d_am2[-1] > d_am.max()
 
 
 def _sparse_pair(rng, dims=(18, 17, 16)):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import gzip
 import importlib
+import io
 import math
 import struct
 import tempfile
@@ -13,17 +15,29 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import make_volume, nifti_bytes, rawvol_bytes, write_nifti, write_rawvol
+from helpers import (
+    gzip_members,
+    make_volume,
+    nifti_bytes,
+    rawvol_bytes,
+    write_nifti,
+    write_rawvol,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segeval import cli
 from segeval import cohort as cohort_module
 from segeval.cohort import CaseSpec, EvalConfig, compute_record
 from segeval.errors import (
     CorruptFile,
     GridMismatch,
+    InputError,
+    MetricError,
     NonPositiveSpacing,
+    SegEvalError,
     SpacingMismatch,
+    StatsError,
     UnsupportedDatatype,
     UnsupportedFormat,
 )
@@ -560,3 +574,121 @@ def test_streamed_pair_equals_the_full_grid_route(example):
         ):
             want = _outcome(lambda: compute_record(case, config))
     assert got == want
+
+
+# header fields the fuzz rewrites: byte offset and struct code of each
+_NIFTI_FIELDS = {
+    "magic": (344, "4s"),
+    "dim": (40, "h"),  # plus 2·index, index 0..7
+    "datatype": (70, "h"),
+    "bitpix": (72, "h"),
+    "pixdim": (76, "f"),  # plus 4·index, index 0..7
+    "vox_offset": (108, "f"),
+    "scl_slope": (112, "f"),
+    "scl_inter": (116, "f"),
+}
+_INT16 = st.one_of(
+    st.sampled_from((-1, 0, 1, 2, 3, 4, 5, 7, 8, 16, 64, 128, 256, 512, 32767, -32768)),
+    st.integers(-(2**15), 2**15 - 1),
+)
+_FLOAT32 = st.one_of(
+    st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 3e38, 1e-45)),
+    st.floats(width=32),
+)
+_TOKEN = st.one_of(
+    st.integers(-5, 2**70).map(str),
+    st.floats().map(repr),
+    st.text(alphabet="0123456789.-+eE xnaifNI\t", max_size=12),
+)
+
+
+@st.composite
+def _nifti_mutation(draw, order):
+    field = draw(st.sampled_from(sorted(_NIFTI_FIELDS)))
+    offset, code = _NIFTI_FIELDS[field]
+    if field == "magic":
+        value = draw(st.one_of(st.sampled_from((b"ni1\x00", b"n+2\x00")), st.binary(min_size=4, max_size=4)))
+    elif code == "h":
+        value = draw(_INT16)
+    else:
+        value = draw(_FLOAT32)
+    if field in ("dim", "pixdim"):
+        offset += struct.calcsize(code) * draw(st.integers(0, 7))
+    return offset, order + code, value
+
+
+@st.composite
+def _rawvol_header(draw, dims, dtype):
+    lines = [
+        "RAWVOL1",
+        f"dims {dims[0]} {dims[1]} {dims[2]}",
+        "spacing 1.0 1.0 1.0",
+        f"datatype {dtype}",
+        "end",
+    ]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("token", "token", "drop", "insert")))
+        if kind == "token":
+            words = lines[i].split(" ")
+            words[draw(st.integers(0, len(words) - 1))] = draw(_TOKEN)
+            lines[i] = " ".join(words)
+        elif kind == "drop":
+            del lines[i]
+        else:
+            key = draw(st.sampled_from(("dims", "spacing", "datatype", "end", "origin", "")))
+            lines.insert(i, f"{key} {draw(_TOKEN)}".strip())
+        if not lines:
+            break
+    return "".join(line + "\n" for line in lines).encode("ascii")
+
+
+@st.composite
+def _mutated_files(draw):
+    """A small valid volume, its file with mutated header fields, and how to gzip it."""
+    dims = (3, 4, 5)
+    dtype = draw(st.sampled_from(("uint8", "int16", "int32", "float32", "float64")))
+    data = (np.arange(60) % 3).astype(dtype).reshape(dims, order="F")
+    if draw(st.booleans()):
+        order = draw(st.sampled_from("<>"))
+        blob = bytearray(nifti_bytes(data, byteorder=order))
+        for _ in range(draw(st.integers(1, 3))):
+            offset, code, value = draw(_nifti_mutation(order))
+            struct.pack_into(code, blob, offset, value)
+        blob = bytes(blob)
+    else:
+        valid = rawvol_bytes(data)
+        payload = valid[valid.index(b"end\n") + 4 :]
+        blob = draw(_rawvol_header(dims, dtype)) + payload
+    members = draw(st.integers(0, 2))  # 0: plain, else gzip members
+    both = draw(st.booleans())  # the mutated file as auto only, or as both masks
+    return data, blob, members, both
+
+
+_EXIT_CODES = ((InputError, 1), (MetricError, 2), (StatsError, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_files())
+def test_mutated_headers_end_in_a_record_or_a_typed_error(example):
+    data, blob, members, both = example
+    if members:
+        blob = gzip_members(blob, members)
+    with tempfile.TemporaryDirectory() as tmp:
+        auto = Path(tmp) / "auto.vol"
+        auto.write_bytes(blob)
+        manual = str(auto) if both else str(write_nifti(Path(tmp) / "m.nii", data))
+        case = CaseSpec("s", "m", "left", str(auto), manual)
+        try:
+            record = compute_record(case, EvalConfig(threads=1))
+        except SegEvalError as e:
+            want = next(code for kind, code in _EXIT_CODES if isinstance(e, kind))
+        else:
+            assert record.status == "ok"
+            want = 0
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["metrics", str(auto), manual])
+    assert code == want
+    assert bool(out.getvalue()) == (code == 0)
+    assert bool(err.getvalue()) == (code != 0)
