@@ -16,26 +16,35 @@ assumed co-registered on the same grid.
 Both payloads are x-fastest (Fortran order), so every z-slab is
 ``nx·ny·itemsize`` contiguous bytes. One chunk decoder reads every file. It
 parses the header from a small decoded prefix, then hands out the payload in
-chunks of ``_CHUNK_SLABS`` whole z-slabs, with the scale factors applied.
-Plain files are sliced in place. A gzip stream is inflated only as far as
-each chunk needs, so decoding is bounded by the size the header declares.
-The rest of the stream is then inflated in bounded pieces and dropped, which
-still checks its CRC trailer. Multi-member gzip files are read member after
-member.
+chunks of ``_CHUNK_SLABS`` whole z-slabs, as stored. Plain files are sliced
+in place. A gzip stream is inflated only as far as each chunk needs, so
+decoding is bounded by the size the header declares. The rest of the stream
+is then inflated in bounded pieces and dropped, which still checks its CRC
+trailer. Multi-member gzip files are read member after member.
 
-The decoder has two consumers. :func:`load_volume` assembles the full grid.
-:func:`load_mask_pair`, the case pipeline's entry point, applies the
-binarization rule per chunk and keeps only the box of each chunk's members.
-It then assembles both masks cropped to the bounding box of their union, so
-no full-grid array is ever built. :func:`binarize_pair` crops two loaded
-volumes with the same box and crop code.
+The decoder has two consumers. :func:`load_volume` scales every chunk and
+assembles the full grid. :func:`load_mask_pair`, the case pipeline's entry
+point, keeps only the box of each chunk's members, and assembles both masks
+cropped to the bounding box of their union, so no full-grid array is ever
+built. :func:`binarize_pair` crops two loaded volumes with the same box and
+crop code.
+
+A chunk's members are found inside the box of its voxels whose stored bits
+are not all zero, taken with ``max`` reductions over an unsigned view of
+the same item size; only that box is scaled, checked for NaN and binarized.
+This is exact. A voxel whose bits are all zero holds the file's zero value,
+0 or ``scl_inter`` once scaled, which is never NaN. So when the rule maps
+the zero value to a non-member, nothing outside the box is a member or a
+NaN, and a chunk without a nonzero bit is skipped. The zero value is run
+once per file through the very scaling and rule the chunks get; when it is
+a member (``equals:0``, say), the box is the whole chunk.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -224,23 +233,38 @@ class _VolumeFile:
         self.dims, self.spacing, self._dtype, self._scale, offset = parse(head, self.path)
         stream.skip(offset)
         self._stream = stream
+        self._has_nan = False
 
     @property
     def dtype(self) -> np.dtype:
-        """The dtype of the values :meth:`chunks` yields, in native byte order."""
+        """The dtype of the arrays :meth:`values` returns, in native byte order."""
         return np.dtype(np.float64) if self._scale else self._dtype.newbyteorder("=")
 
-    def chunks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(z0, values)`` for each chunk of ``_CHUNK_SLABS`` z-slabs.
+    def values(self, stored: np.ndarray) -> np.ndarray:
+        """``stored`` with the scale factors applied; its NaN voxels are noted.
 
-        ``values`` is the ``(nx, ny, k)`` block starting at slab ``z0``, with
-        the scale factors applied. After the last chunk the rest of the
-        stream is drained, then the spacing and NaN voxels are checked, in
-        the order a whole decoded file was checked in.
+        :meth:`chunks` raises for the noted NaN voxels once the file is
+        read, so every value a consumer takes must pass through here.
+        """
+        values = stored
+        if self._scale:
+            values = stored.astype(np.float64) * self._scale[0] + self._scale[1]
+        # a NaN compares unequal to 0, so "nonzero" would count it as a member
+        if values.dtype.kind == "f" and not self._has_nan:
+            self._has_nan = bool(np.isnan(values).any())
+        return values
+
+    def chunks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(z0, stored)`` for each chunk of ``_CHUNK_SLABS`` z-slabs.
+
+        ``stored`` is the ``(nx, ny, k)`` block starting at slab ``z0``, in
+        the stored dtype and byte order. After the last chunk the rest of
+        the stream is drained, then the spacing and the NaN voxels that
+        :meth:`values` noted are checked, in the order a whole decoded file
+        was checked in.
         """
         nx, ny, nz = self.dims
         slab = nx * ny * self._dtype.itemsize
-        has_nan = False
         for z0 in range(0, nz, _CHUNK_SLABS):
             k = min(_CHUNK_SLABS, nz - z0)
             buf = self._stream.read(k * slab)
@@ -249,16 +273,10 @@ class _VolumeFile:
                     f"{self.path}: payload has {z0 * slab + len(buf)} bytes, "
                     f"header promises {nz * slab}"
                 )
-            values = np.frombuffer(buf, dtype=self._dtype).reshape((nx, ny, k), order="F")
-            if self._scale:
-                values = values.astype(np.float64) * self._scale[0] + self._scale[1]
-            # a NaN compares unequal to 0, so "nonzero" would count it as a member
-            if values.dtype.kind == "f" and not has_nan:
-                has_nan = bool(np.isnan(values).any())
-            yield z0, values
+            yield z0, np.frombuffer(buf, dtype=self._dtype).reshape((nx, ny, k), order="F")
         self._stream.drain()
         _check_spacing(self.spacing, self.path)
-        if has_nan:
+        if self._has_nan:
             raise CorruptFile(f"{self.path}: volume holds NaN voxels")
 
 
@@ -271,7 +289,7 @@ def load_volume(path: str | Path) -> LabelVolume:
     """
     src = _VolumeFile(path)
     # the whole file is validated before the declared grid is allocated
-    chunks = list(src.chunks())
+    chunks = [(z0, src.values(stored)) for z0, stored in src.chunks()]
     data = np.empty(src.dims, dtype=src.dtype, order="F")
     for z0, values in chunks:
         data[:, :, z0 : z0 + values.shape[2]] = values
@@ -420,24 +438,58 @@ class _Members:
     pieces: list[tuple[tuple[int, int, int], np.ndarray]]
 
 
+def _nonzero_box(stored: np.ndarray) -> tuple[slice, slice, slice] | None:
+    """The box of the voxels whose stored bits are not all zero; None if none are.
+
+    The reductions run on an unsigned view of the same item size: first per
+    z-slab, which skips an empty chunk after one pass, then per x and per y
+    over the footprint of the occupied slabs.
+    """
+    bits = stored.view(f"u{stored.itemsize}")
+    zs = np.flatnonzero(bits.max(axis=(0, 1), initial=0))
+    if not zs.size:
+        return None
+    footprint = bits[:, :, zs[0] : zs[-1] + 1].max(axis=2)
+    xs = np.flatnonzero(footprint.max(axis=1))
+    ys = np.flatnonzero(footprint[xs[0] : xs[-1] + 1].max(axis=0))
+    return tuple(slice(int(h[0]), int(h[-1]) + 1) for h in (xs, ys, zs))
+
+
 def _members(
     vol: LabelVolume | _VolumeFile,
     chunks: Iterable[tuple[int, np.ndarray]],
     rule: BinarizeRule,
+    values: Callable[[np.ndarray], np.ndarray] = lambda stored: stored,
 ) -> _Members:
+    """The members of ``vol``, from its ``(z0, stored)`` chunks.
+
+    ``values`` maps stored voxels to the values the rule sees (for a file,
+    :meth:`_VolumeFile.values`). Per chunk, only the box of voxels with a
+    nonzero stored bit is passed through ``values`` and the rule, unless
+    the zero value is itself a member; then the box is the whole chunk.
+    The members' box within it is kept.
+    """
     pieces = []
-    for z0, values in chunks:
-        bits = _apply_rule(values, rule)
+    zero_member = None
+    for z0, stored in chunks:
+        if zero_member is None:  # every chunk of a volume has one dtype
+            zero = values(np.zeros((1, 1, 1), stored.dtype))
+            zero_member = bool(_apply_rule(zero, rule).any())
+        whole = tuple(slice(0, n) for n in stored.shape)
+        box = whole if zero_member else _nonzero_box(stored)
+        if box is None:
+            continue
+        bits = _apply_rule(values(stored[box]), rule)
         if not bits.any():
             continue
-        box = []
+        tight = []
         for axis in range(3):
             others = tuple(ax for ax in range(3) if ax != axis)
             hits = np.flatnonzero(bits.any(axis=others))
-            box.append(slice(int(hits[0]), int(hits[-1]) + 1))
-        corner = (box[0].start, box[1].start, z0 + box[2].start)
-        # a copy, so the chunk's full-slab flags are freed
-        pieces.append((corner, bits[tuple(box)].copy()))
+            tight.append(slice(int(hits[0]), int(hits[-1]) + 1))
+        x, y, z = (b.start + t.start for b, t in zip(box, tight))
+        # a copy, so the box's flags are freed
+        pieces.append(((x, y, z0 + z), bits[tuple(tight)].copy()))
     return _Members(vol.dims, vol.spacing, pieces)
 
 
@@ -494,9 +546,9 @@ def load_mask_pair(
     ``binarize_pair(load_volume(auto_path), load_volume(manual_path), rule)``.
     """
     auto = _VolumeFile(auto_path)
-    members_a = _members(auto, auto.chunks(), rule)
+    members_a = _members(auto, auto.chunks(), rule, auto.values)
     manual = _VolumeFile(manual_path)
-    members_m = _members(manual, manual.chunks(), rule)
+    members_m = _members(manual, manual.chunks(), rule, manual.values)
     check_compatible(members_a, members_m)
     return _crop_pair(members_a, members_m)
 

@@ -440,6 +440,63 @@ def test_decoding_is_bounded_by_the_declared_size(tmp_path):
     assert peak < 16
 
 
+def _ball_grid(dims, center, radius):
+    grid = np.zeros(dims, np.uint8)
+    k = np.arange(-radius, radius + 1)
+    inside = k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2 <= radius**2
+    at = tuple(slice(c - radius, c + radius + 1) for c in center)
+    grid[at][inside] = 1
+    return grid
+
+
+def _nonzero_boxes(grid, slabs):
+    """The shape of each chunk's box of nonzero voxels, chunk by chunk."""
+    boxes = []
+    for z0 in range(0, grid.shape[2], slabs):
+        hits = np.argwhere(grid[:, :, z0 : z0 + slabs])
+        if len(hits):
+            boxes.append(tuple(int(n) for n in hits.max(axis=0) - hits.min(axis=0) + 1))
+    return boxes
+
+
+def test_binarizing_follows_the_structure_not_the_grid(tmp_path):
+    # an MRI grid holding two hippocampus-sized balls, one voxel apart
+    dims = (256, 256, 170)
+    auto = _ball_grid(dims, (100, 120, 70), 14)
+    manual = _ball_grid(dims, (101, 120, 70), 14)
+    a = write_nifti(tmp_path / "a.nii.gz", auto, gzipped=True)
+    m = write_nifti(tmp_path / "m.nii.gz", manual, gzipped=True)
+    seen = []
+
+    def spy(data, rule):
+        seen.append(data.shape)
+        return apply_rule(data, rule)
+
+    apply_rule = volume_module._apply_rule
+    with mock.patch.object(volume_module, "_apply_rule", spy):
+        masks = load_mask_pair(a, m, BinarizeRule.nonzero())
+    assert [mask.count for mask in masks] == [auto.sum(), manual.sum()]
+    # one zero-value probe per file, then each chunk's nonzero box alone
+    slabs = volume_module._CHUNK_SLABS
+    probe = [(1, 1, 1)]
+    assert seen == probe + _nonzero_boxes(auto, slabs) + probe + _nonzero_boxes(manual, slabs)
+
+    # Beyond what the decoder itself holds while both files are read, only
+    # the small boxes may be added. Flags for a whole chunk, as a full-chunk
+    # rule makes, would add one chunk (1 MiB of uint8 voxels); half of one
+    # is the bound. Neither file's full grid is ever held.
+    def decode(*paths):
+        for path in paths:
+            for _chunk in volume_module._VolumeFile(path).chunks():
+                pass
+
+    chunk_mib = dims[0] * dims[1] * slabs / 2**20
+    _, decoder = _peak_mib(decode, a, m)
+    _, peak = _peak_mib(load_mask_pair, a, m, BinarizeRule.nonzero())
+    assert peak < decoder + chunk_mib / 2
+    assert peak < auto.nbytes / 2**20
+
+
 def _corrupt_crc(blob: bytes) -> bytes:
     blob = bytearray(blob)
     blob[-8] ^= 0xFF  # the trailer is CRC32 then ISIZE
@@ -502,33 +559,48 @@ def test_vox_offset_beyond_the_header(tmp_path):
         np.testing.assert_array_equal(vol.data, data)
 
 
-_RULES = (BinarizeRule.nonzero(), BinarizeRule.equals(2), BinarizeRule.greater_than(1.5))
+_RULES = (
+    BinarizeRule.nonzero(),
+    BinarizeRule.equals(2),
+    BinarizeRule.greater_than(1.5),
+    # the zero value is a member, so no chunk can be skipped
+    BinarizeRule.equals(0),
+    BinarizeRule.greater_than(-0.5),
+)
 
 
 @st.composite
 def _encoded_pairs(draw):
     """A pair of volumes and how to write them, over every decoder branch."""
-    dims = tuple(draw(st.integers(1, 6)) for _ in range(2)) + (draw(st.integers(1, 8)),)
+    dims = tuple(draw(st.integers(1, 12)) for _ in range(2)) + (draw(st.integers(1, 8)),)
     dtype = draw(st.sampled_from(("uint8", "int16", "int32", "float32", "float64")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     empty = draw(st.sampled_from(("none", "none", "auto", "both")))
+    # -0.0 has a nonzero stored bit but is 0; a NaN voxel makes the file corrupt
+    special = draw(st.sampled_from(("none", "-0.0", "nan"))) if dtype[0] == "f" else "none"
     pair = []
     for role in ("auto", "manual"):
         values = rng.integers(1, 4, size=dims) * (rng.random(dims) < draw(st.floats(0, 0.6)))
         if empty == "both" or (empty == "auto" and role == "auto"):
             values[...] = 0
-        pair.append(values.astype(dtype))
+        values = values.astype(dtype)
+        if special != "none":
+            where = rng.random(dims) < draw(st.floats(0, 0.2))
+            if special == "nan" and role == "manual":
+                where.flat[rng.integers(where.size)] = True  # at least one file is corrupt
+            values[where] = float(special)
+        pair.append(values)
     nifti = draw(st.booleans())
     write = {"members": draw(st.integers(0, 3))}  # 0: plain, else gzip members
     if nifti:
         write["byteorder"] = draw(st.sampled_from("<>"))
         write["vox_offset"] = draw(st.sampled_from((352, 353, 400, 5000)))
-        if empty == "none":  # scaling can turn zeros into members
-            write["scl_slope"] = draw(st.sampled_from((0.0, 1.0, 2.5, -1.0)))
-            write["scl_inter"] = draw(st.sampled_from((0.0, -1.0, 0.5)))
+        # scaling can make the zero value a member
+        write["scl_slope"] = draw(st.sampled_from((0.0, 1.0, 2.5, -1.0)))
+        write["scl_inter"] = draw(st.sampled_from((0.0, -1.0, 0.5, 2.0)))
     rule = draw(st.sampled_from(_RULES))
     slabs = draw(st.sampled_from((1, 3)))
-    return pair, nifti, write, rule, slabs
+    return pair, special, nifti, write, rule, slabs
 
 
 def _write(path, data, nifti, write):
@@ -542,38 +614,62 @@ def _write(path, data, nifti, write):
 
 def _outcome(fn):
     try:
-        return asdict(fn())
+        return fn()
     except Exception as e:  # noqa: BLE001 - the error is the outcome here
         return (type(e), str(e))
+
+
+def _pasted(mask):
+    """The flags of ``mask`` on its full grid."""
+    full = np.zeros(mask.dims, dtype=bool)
+    full[tuple(slice(o, o + n) for o, n in zip(mask.origin, mask.bits.shape))] = mask.bits
+    return full
 
 
 @settings(max_examples=150, deadline=None)
 @given(_encoded_pairs())
 def test_streamed_pair_equals_the_full_grid_route(example):
-    (auto, manual), nifti, write, rule, slabs = example
+    (auto, manual), special, nifti, write, rule, slabs = example
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
         volume_module, "_CHUNK_SLABS", slabs
     ):
         a = _write(Path(tmp) / "a.vol", auto, nifti, write)
         m = _write(Path(tmp) / "m.vol", manual, nifti, write)
-        streamed = load_mask_pair(a, m, rule)
-        full = binarize_pair(load_volume(a), load_volume(m), rule)
-        for s, f in zip(streamed, full):
-            assert (s.dims, s.spacing, s.origin) == (f.dims, f.spacing, f.origin)
-            assert s.bits.dtype == f.bits.dtype
-            assert s.bits.flags.c_contiguous == f.bits.flags.c_contiguous
-            np.testing.assert_array_equal(s.bits, f.bits, strict=True)
-
+        routes = (
+            lambda: load_mask_pair(a, m, rule),
+            lambda: binarize_pair(load_volume(a), load_volume(m), rule),
+        )
         case = CaseSpec("s", "m", "left", a, m, binarize_rule=rule)
         config = EvalConfig(threads=1)
-        got = _outcome(lambda: compute_record(case, config))
-        with mock.patch.object(
-            cohort_module,
-            "load_mask_pair",
-            lambda a, m, r: binarize_pair(load_volume(a), load_volume(m), r),
-        ):
-            want = _outcome(lambda: compute_record(case, config))
-    assert got == want
+        got = _outcome(lambda: asdict(compute_record(case, config)))
+        with mock.patch.object(cohort_module, "load_mask_pair", lambda a, m, r: routes[1]()):
+            want = _outcome(lambda: asdict(compute_record(case, config)))
+        assert got == want
+
+        if special == "nan":
+            # the automatic file is read in full first
+            message = f"{a if np.isnan(auto).any() else m}: volume holds NaN voxels"
+            for route in routes:
+                with pytest.raises(CorruptFile) as err:
+                    route()
+                assert str(err.value) == message
+            assert got == (CorruptFile, message)
+            return
+
+        # the rule on every voxel of each fully loaded grid, and the box of
+        # their union, with no box code in between
+        vols = [load_volume(path) for path in (a, m)]
+        want_bits = [binarize(vol, rule).bits for vol in vols]
+        hits = np.argwhere(want_bits[0] | want_bits[1])
+        origin, end = (hits.min(axis=0), hits.max(axis=0) + 1) if len(hits) else ([0] * 3,) * 2
+        for masks in (route() for route in routes):
+            for mask, vol, bits in zip(masks, vols, want_bits):
+                assert (mask.dims, mask.spacing) == (vol.dims, vol.spacing)
+                assert mask.origin == tuple(int(o) for o in origin)
+                assert mask.bits.shape == tuple(int(e - o) for e, o in zip(end, origin))
+                assert mask.bits.dtype == bool and mask.bits.flags.c_contiguous
+                assert not mask.bits.flags.writeable
+                np.testing.assert_array_equal(_pasted(mask), bits, strict=True)
 
 
 # header fields the fuzz rewrites: byte offset and struct code of each
