@@ -41,10 +41,17 @@ def _add_space_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--unit", choices=("mm3", "voxels"), default="mm3")
     p.add_argument(
         "--label",
-        type=float,
+        type=_label_rule,
         default=None,
         help="binarize by equality with this label value (default: nonzero)",
     )
+
+
+def _label_rule(text: str) -> BinarizeRule:
+    try:
+        return BinarizeRule.equals(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid label {text!r}: {exc}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -58,18 +65,13 @@ def _positive_int(text: str) -> int:
 
 
 def _config(args: argparse.Namespace) -> EvalConfig:
-    rule = (
-        BinarizeRule.equals(args.label)
-        if getattr(args, "label", None) is not None
-        else BinarizeRule.nonzero()
-    )
     return EvalConfig(
         space=args.space,
         connectivity=args.connectivity,
         unit=args.unit,
         pooling=getattr(args, "pooling", "observation"),
         threads=getattr(args, "threads", None),
-        default_rule=rule,
+        default_rule=getattr(args, "label", None) or BinarizeRule.nonzero(),
     )
 
 

@@ -6,19 +6,15 @@ connectivity is available for sensitivity studies. Distances run between
 voxel centers, in index space (unit cubes, the default) or in physical
 space (index × spacing per axis).
 
-Two interchangeable routes compute the distance measures:
+:func:`compare_surfaces` computes the distance measures by one route:
+exact nearest-site distances at the opposing surface's voxels, found on
+the bounding box of the two surfaces (:func:`_nearest_distances`).
+:func:`surface_metrics_bruteforce` computes the same measures from all
+|S_A|·|S_R| pairwise distances; it is the oracle the route is tested
+against, and no production path calls it.
 
-* exact nearest-site distances at the opposing surface's voxels, found on
-  the bounding box of the two surfaces (:func:`_nearest_distances`);
-* exhaustive pairwise distances (:func:`surface_metrics_bruteforce`) —
-  |S_A|·|S_R| pairs, also the testing oracle for the first route.
-
-:func:`compare_surfaces` takes brute force when the pair count is at most
-the number of box voxels, else the first route. Both satisfy the same
-contract, so the choice is unobservable except in runtime.
-
-The first route's values are those of an exact Euclidean distance
-transform. The transform is separable: one pass per axis, each setting
+The route's values are those of an exact Euclidean distance transform.
+The transform is separable: one pass per axis, each setting
 ``out[i] = min over |k| ≤ w of f[i±k] + step²·k·k`` for a window w. After
 the three passes every squared distance below T = min(step²)·(w+1)² is
 exact, and every other value is an overestimate at or above T. With
@@ -429,7 +425,12 @@ def surface_metrics(
 def surface_metrics_bruteforce(
     a: SurfacePointSet, r: SurfacePointSet, chunk: int = 1024
 ) -> SurfaceDistanceResult:
-    """Same contract as :func:`surface_metrics`, by exhaustive pairwise distances."""
+    """Same contract as :func:`surface_metrics`, by exhaustive pairwise distances.
+
+    The reference that :func:`compare_surfaces` is tested and spot-checked
+    against, at a cost of |S_A|·|S_R| distance terms; no production path
+    calls it.
+    """
     if a.count == 0 or r.count == 0:
         raise EmptySurface("surface metrics need two nonempty surfaces")
     if a.space != r.space:
@@ -460,27 +461,23 @@ def compare_surfaces(
 ) -> SurfaceDistanceResult:
     """Extract both surfaces and compute the four distance measures.
 
-    Distances are computed on the bounding box of the two surfaces; every
-    site and query point lies inside it, so the crop cannot change any
-    nearest-point distance. Routes to brute force when the pairwise product
-    does not exceed the voxel count of that box, else to the windowed
-    transform sampled at the opposing surface's voxels.
+    Each direction's distances are the nearest-site distances at the
+    opposing surface's voxels (:func:`_nearest_distances`), on the
+    bounding box of the two surfaces: every site and query voxel lies
+    inside it, so the crop cannot change any nearest-point distance, and
+    box-local coordinates make the values independent of where the pair
+    lies in the grid.
     """
     s_a = extract_surface(mask_a, space=space, connectivity=connectivity)
     s_r = extract_surface(mask_r, space=space, connectivity=connectivity)
     both = np.vstack([s_a.indices, s_r.indices])
     lo = both.min(axis=0)
-    hi = both.max(axis=0)
-    sub_dims = tuple(int(h - l + 1) for l, h in zip(lo, hi))
-    # both routes see box-local coordinates, so translating a pair changes no bit
-    s_a_local = SurfacePointSet(indices=s_a.indices - lo, space=space, spacing=s_a.spacing)
-    s_r_local = SurfacePointSet(indices=s_r.indices - lo, space=space, spacing=s_r.spacing)
-    if s_a.count * s_r.count <= math.prod(sub_dims):
-        return surface_metrics_bruteforce(s_a_local, s_r_local)
+    dims = tuple(int(n) for n in both.max(axis=0) - lo + 1)
     if space == "physical":
         steps_a, steps_r = mask_a.spacing, mask_r.spacing
     else:
         steps_a = steps_r = (1.0, 1.0, 1.0)
-    d_am = _nearest_distances(s_r_local.indices, s_a_local.indices, sub_dims, steps_r)
-    d_ma = _nearest_distances(s_a_local.indices, s_r_local.indices, sub_dims, steps_a)
+    a, r = s_a.indices - lo, s_r.indices - lo
+    d_am = _nearest_distances(r, a, dims, steps_r)
+    d_ma = _nearest_distances(a, r, dims, steps_a)
     return _pooled_result(d_am, d_ma, space)

@@ -42,6 +42,7 @@ a member (``equals:0``, say), the box is the whole chunk.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from collections.abc import Callable, Iterable, Iterator
@@ -114,10 +115,18 @@ class BinaryMask:
 
 @dataclass(frozen=True)
 class BinarizeRule:
-    """Rule mapping scalar voxel values to membership flags."""
+    """Rule mapping scalar voxel values to membership flags.
+
+    A NaN value is rejected: no voxel equals it or lies above it. Infinite
+    values are legal, as float volumes may hold infinite voxels.
+    """
 
     kind: str  # "equals" | "greater_than" | "nonzero"
     value: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.value is not None and math.isnan(self.value):
+            raise ValueError(f"{self.kind} rule value must not be NaN")
 
     @classmethod
     def equals(cls, value: float) -> "BinarizeRule":
@@ -405,11 +414,17 @@ def _parse_rawvol(head: bytes, path: str):
     return dims, spacing, dtype, None, offset
 
 
+# the float64 loop of a comparison ufunc: the data is cast block by block,
+# never whole, and no dtype or NumPy version changes the comparison
+_FLOAT64_COMPARE = (np.float64, np.float64, np.bool_)
+
+
 def _apply_rule(data: np.ndarray, rule: BinarizeRule) -> np.ndarray:
+    """Membership flags of ``data``; value rules compare in float64 for every dtype."""
     if rule.kind == "equals":
-        return data == rule.value
+        return np.equal(data, rule.value, signature=_FLOAT64_COMPARE)
     if rule.kind == "greater_than":
-        return data > rule.value
+        return np.greater(data, rule.value, signature=_FLOAT64_COMPARE)
     if rule.kind == "nonzero":
         return data != 0
     raise ValueError(f"unknown binarization rule kind {rule.kind!r}")

@@ -69,6 +69,13 @@ class TestMetricsCommand:
         record = json.loads(capsys.readouterr().out)
         assert record["v_auto"] == 8.0
 
+    def test_nan_label_is_a_usage_error(self, tmp_path, capsys):
+        p = str(write_rawvol(tmp_path / "v.rawvol", np.ones((2, 2, 2), dtype=np.uint8)))
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", p, p, "--label", "nan"])
+        assert exc.value.code == 2
+        assert "--label" in capsys.readouterr().err
+
     def test_physical_space_flag(self, pair, capsys):
         a, m = pair
         assert main(["metrics", a, m, "--space", "physical"]) == 0

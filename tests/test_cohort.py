@@ -122,6 +122,17 @@ class TestParseManifest:
         )
         assert parse_manifest(manifest)[0].binarize_rule == BinarizeRule.equals(17)
 
+    def test_nan_label_is_a_malformed_row(self, tmp_path):
+        manifest = _write_manifest(
+            tmp_path / "m.csv",
+            [
+                "subject,method,structure,auto,manual,field_strength,label",
+                "s1,alpha,left,a.nii,m.nii,,nan",
+            ],
+        )
+        with pytest.raises(MalformedRow, match="row 2: label 'nan'"):
+            parse_manifest(manifest)
+
     def test_bad_field_strength(self, tmp_path):
         manifest = _write_manifest(
             tmp_path / "m.csv",

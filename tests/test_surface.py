@@ -21,7 +21,7 @@ from segeval.surface import (
     surface_metrics,
     surface_metrics_bruteforce,
 )
-from segeval.volume import BinarizeRule, binarize, binarize_pair
+from segeval.volume import BinarizeRule, BinaryMask, binarize, binarize_pair
 
 
 def _point_set(points, space="index", spacing=(1.0, 1.0, 1.0)):
@@ -308,6 +308,27 @@ class TestOracleEquivalence:
             assert res.hausdorff >= res.rms >= res.assd >= 0.0
 
 
+def _mri_island_pair(spacing):
+    """A radius-14 ball pair shifted one voxel on a 256×256×170 grid, with one
+    auto island voxel at (250, 250, 165) that stretches the surfaces' box to
+    205×205×125 voxels.
+
+    The masks hold only that box, as :func:`load_mask_pair` crops them.
+    """
+    origin = (46, 46, 41)
+    box = (205, 205, 125)
+    manual = np.zeros(box, dtype=bool)
+    auto = np.zeros(box, dtype=bool)
+    manual[:30, :29, :29] = sphere_bits((30, 29, 29), (14, 14, 14), 14)
+    auto[:30, :29, :29] = sphere_bits((30, 29, 29), (15, 14, 14), 14)
+    auto[-1, -1, -1] = True
+    dims = (256, 256, 170)
+    return tuple(
+        BinaryMask(dims=dims, spacing=spacing, bits=bits, origin=origin)
+        for bits in (auto, manual)
+    )
+
+
 class TestCompareSurfacesEngine:
     def test_matches_bruteforce_when_field_path_triggers(self, rng, monkeypatch):
         dims = (16, 16, 16)
@@ -320,27 +341,42 @@ class TestCompareSurfacesEngine:
         for name in ("hausdorff", "rms", "assd", "mean_distance"):
             assert abs(getattr(engine, name) - getattr(oracle, name)) <= 1e-9
 
-    def test_far_apart_voxels_take_bruteforce(self, monkeypatch):
+    def test_far_apart_voxels_take_the_nearest_site_route(self, monkeypatch):
         # the surface box is the whole 64³ grid, but there is a single pair
         bits_a = np.zeros((64, 64, 64), dtype=bool)
         bits_a[0, 0, 0] = True
         bits_r = np.zeros((64, 64, 64), dtype=bool)
         bits_r[63, 63, 63] = True
-        monkeypatch.setattr(surface, "_nearest_distances", _must_not_run("transform"))
+        monkeypatch.setattr(surface, "surface_metrics_bruteforce", _must_not_run("brute-force"))
         res = compare_surfaces(make_mask(bits_a), make_mask(bits_r))
         assert res.hausdorff == pytest.approx(63 * math.sqrt(3), abs=1e-12)
 
     def test_ball_pair_takes_field_path(self, monkeypatch):
         dims = (96, 96, 96)
-        a_mask = make_mask(sphere_bits(dims, (44, 48, 48), 12))
-        r_mask = make_mask(sphere_bits(dims, (48, 50, 48), 12))
-        oracle = surface_metrics_bruteforce(extract_surface(a_mask), extract_surface(r_mask))
+        spacing = (0.9, 1.1, 1.3)
+        pairs = [
+            (
+                make_mask(sphere_bits(dims, (44, 48, 48), 12), spacing),
+                make_mask(sphere_bits(dims, (48, 50, 48), 12), spacing),
+            ),
+            _mri_island_pair(spacing),
+        ]
+        # the oracle below is this module's own binding of the function
         monkeypatch.setattr(surface, "surface_metrics_bruteforce", _must_not_run("brute-force"))
-        engine = compare_surfaces(a_mask, r_mask)
-        for name in ("hausdorff", "rms", "assd", "mean_distance"):
-            assert abs(getattr(engine, name) - getattr(oracle, name)) <= 1e-9
+        for a_mask, r_mask in pairs:
+            for space in ("index", "physical"):
+                oracle = surface_metrics_bruteforce(
+                    extract_surface(a_mask, space=space), extract_surface(r_mask, space=space)
+                )
+                engine = compare_surfaces(a_mask, r_mask, space=space)
+                if space == "index":
+                    assert engine == oracle
+                else:
+                    for name in ("hausdorff", "rms", "assd", "mean_distance",
+                                 "directed_h_am", "directed_h_ma"):
+                        assert abs(getattr(engine, name) - getattr(oracle, name)) <= 1e-9
 
-    def test_small_surfaces_use_bruteforce_route(self):
+    def test_single_voxel_pair(self):
         bits_a = np.zeros((32, 32, 32), dtype=bool)
         bits_a[4, 4, 4] = True
         bits_r = np.zeros((32, 32, 32), dtype=bool)

@@ -8,6 +8,7 @@ import math
 import struct
 import tempfile
 import tracemalloc
+import warnings
 import zlib
 from dataclasses import asdict
 from pathlib import Path
@@ -230,6 +231,26 @@ class TestBinarize:
         vol = make_volume(np.array([[[0.0, 0.4, 0.9]]]))
         mask = binarize(vol, BinarizeRule.greater_than(0.5))
         np.testing.assert_array_equal(mask.bits, [[[False, False, True]]])
+
+    def test_float32_and_float64_files_compare_alike(self, tmp_path):
+        value = np.float32(0.1)  # 0.100000001…, above the float64 0.1
+        paths = [
+            write_rawvol(tmp_path / f"{np.dtype(dtype).name}.rawvol",
+                         np.full((1, 1, 1), value, dtype=dtype))
+            for dtype in (np.float32, np.float64)
+        ]
+        inf = write_rawvol(tmp_path / "inf.rawvol", np.full((1, 1, 1), np.inf, np.float32))
+        cases = [
+            (BinarizeRule.equals(0.1), paths, 0),
+            (BinarizeRule.greater_than(0.1), paths, 1),
+            (BinarizeRule.equals(1e300), [inf, inf], 0),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rule, pair, count in cases:
+                full = [binarize(load_volume(path), rule).count for path in pair]
+                streamed = [mask.count for mask in load_mask_pair(*pair, rule)]
+                assert full == streamed == [count, count], rule
 
     def test_nonzero_idempotent(self, rng):
         vol = make_volume(rng.integers(0, 3, size=(5, 5, 5)).astype(np.int16))
