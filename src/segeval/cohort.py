@@ -1,10 +1,11 @@
 """Batch evaluation of (subject, method, structure) cases from a manifest.
 
-Cases are independent by construction and evaluated in parallel; per-case
-failures degrade to error-status records so a long batch never dies on one
-bad file, nor on one worker the OS kills. Records keep manifest order and
-the volume table uses lexicographic order, so repeated runs are
-byte-identical regardless of the worker count. The ANOVA over methods is
+Cases are independent by construction. They are evaluated in parallel,
+in jobs of cases that share files, so each file is decoded once per job.
+Per-case failures degrade to error-status records so a long batch never
+dies on one bad file, nor on one worker the OS kills. Records keep
+manifest order and the volume table uses lexicographic order, so repeated
+runs are byte-identical regardless of the worker count. The ANOVA over methods is
 computed from the records by :mod:`segeval.reporting`, in one place.
 """
 
@@ -17,6 +18,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -40,7 +42,7 @@ from .overlap import (
 )
 from .stats import GroupSample, group_summary
 from .surface import compare_surfaces
-from .volume import BinarizeRule, load_mask_pair
+from .volume import BinaryMask, BinarizeRule, load_mask_pair, load_mask_pairs
 
 # Canonical metric column order; also the metric names accepted by the
 # ANOVA entry points and used as CSV headers.
@@ -271,7 +273,14 @@ def compute_record(case: CaseSpec, config: EvalConfig) -> MetricRecord:
     distances all run on that box.
     """
     rule = case.binarize_rule or config.default_rule
-    mask_a, mask_m = load_mask_pair(case.auto_path, case.manual_path, rule)
+    return _record_from_masks(
+        case, config, *load_mask_pair(case.auto_path, case.manual_path, rule)
+    )
+
+
+def _record_from_masks(
+    case: CaseSpec, config: EvalConfig, mask_a: BinaryMask, mask_m: BinaryMask
+) -> MetricRecord:
     counts = confusion_counts(mask_a, mask_m)
     v_auto = volume(mask_a, config.unit)
     v_manual = volume(mask_m, config.unit)
@@ -320,42 +329,80 @@ def _error_record(case: CaseSpec, config: EvalConfig, e: BaseException) -> Metri
     )
 
 
-def _case_worker(args: tuple[CaseSpec, EvalConfig]) -> MetricRecord:
-    return evaluate_case(*args)
+def _evaluate_job(cases: list[CaseSpec], config: EvalConfig) -> list[MetricRecord]:
+    """:func:`evaluate_case` for each case, decoding each (path, rule) once."""
+    pairs = load_mask_pairs(
+        [(c.auto_path, c.manual_path, c.binarize_rule or config.default_rule) for c in cases]
+    )
+    records = []
+    for case, masks in zip(cases, pairs):
+        if isinstance(masks, Exception):
+            records.append(_error_record(case, config, masks))
+            continue
+        try:
+            records.append(_record_from_masks(case, config, *masks))
+        except Exception as e:  # noqa: BLE001 - as in evaluate_case
+            records.append(_error_record(case, config, e))
+    return records
 
 
-def _evaluate_alone(job: tuple[CaseSpec, EvalConfig]) -> MetricRecord:
-    """Evaluate one case in a worker of its own; the worker's death is its error."""
+def _jobs(cases: list[CaseSpec], workers: int) -> list[list[int]]:
+    """The cases' indices, grouped into jobs of cases that share a manual file.
+
+    A job holds the cases of one manual path, in manifest order. A job
+    larger than ⌈cases/workers⌉ is cut into consecutive pieces of that
+    size, so a manifest that scores every case against one template still
+    spreads over the workers. An automatic file shared by two manual files
+    is decoded once in each of their jobs.
+    """
+    groups: dict[str, list[int]] = {}
+    for i, case in enumerate(cases):
+        groups.setdefault(case.manual_path, []).append(i)
+    size = -(-len(cases) // workers)
+    return [g[k : k + size] for g in groups.values() for k in range(0, len(g), size)]
+
+
+def _evaluate_alone(job: list[CaseSpec], config: EvalConfig) -> list[MetricRecord]:
+    """Evaluate one job in a worker of its own.
+
+    If that worker dies too, each case of a job of several is run alone in
+    the same way, and a lone case whose worker dies gets the death as its
+    error record.
+    """
     with ProcessPoolExecutor(max_workers=1) as pool:
         try:
-            return pool.submit(_case_worker, job).result()
+            return pool.submit(_evaluate_job, job, config).result()
         except BrokenProcessPool as e:
-            return _error_record(*job, e)
+            if len(job) == 1:
+                return [_error_record(job[0], config, e)]
+    return [record for case in job for record in _evaluate_alone([case], config)]
 
 
 def _pool_records(
-    jobs: list[tuple[CaseSpec, EvalConfig]], workers: int
-) -> list[MetricRecord]:
-    """Evaluate the jobs in worker processes, in order.
+    jobs: list[list[CaseSpec]], config: EvalConfig, workers: int
+) -> list[list[MetricRecord]]:
+    """Evaluate the jobs in worker processes, one job per task, in order.
 
     A worker killed by the OS (out of memory, a signal) breaks its pool. The
-    first case without a record was then in flight, so it is rerun in a
-    worker of its own: if that worker dies too, the case becomes an error
-    record. The cases after it go on in a fresh pool, so each gets the
-    record a serial run gives.
+    first job without records was then in flight, so it is rerun once in a
+    worker of its own (:func:`_evaluate_alone`). If that worker dies too,
+    each of the job's cases is rerun alone, one new single-worker pool and
+    one decode of its files per case, and a case whose worker dies again
+    becomes an error record. That fallback is serial: its cost grows with
+    the job, up to ⌈cases/workers⌉ cases. The jobs after it go on in a
+    fresh pool, so each of their cases gets the record a serial run gives.
     """
-    records: list[MetricRecord] = []
-    while len(records) < len(jobs):
-        rest = jobs[len(records):]
-        size = min(workers, len(rest))
-        chunksize = max(1, len(rest) // (size * 4))
+    run = partial(_evaluate_job, config=config)
+    done: list[list[MetricRecord]] = []
+    while len(done) < len(jobs):
+        rest = jobs[len(done):]
         try:
-            with ProcessPoolExecutor(max_workers=size) as pool:
-                for record in pool.map(_case_worker, rest, chunksize=chunksize):
-                    records.append(record)
+            with ProcessPoolExecutor(max_workers=min(workers, len(rest))) as pool:
+                for records in pool.map(run, rest, chunksize=1):
+                    done.append(records)
         except BrokenProcessPool:
-            records.append(_evaluate_alone(jobs[len(records)]))
-    return records
+            done.append(_evaluate_alone(jobs[len(done)], config))
+    return done
 
 
 def _volume_rows(records: list[MetricRecord]) -> list[VolumeRow]:
@@ -382,17 +429,28 @@ def evaluate_cohort(
 ) -> CohortResult:
     """Evaluate every case (in parallel) and assemble the volume table.
 
-    A case whose worker dies twice, in the pool and then alone, gets an
-    error record (``BrokenProcessPool: ...``). Under subject pooling,
-    subjects with any errored case are listed in the provenance as excluded.
+    Cases run in jobs (:func:`_jobs`): each job decodes each file it reads
+    once per binarize rule, and a case's record, or its error, is the one
+    :func:`evaluate_case` gives it. Jobs are spread over the workers; one
+    worker runs them in process. A case whose worker dies in its job, in
+    that job's rerun and then alone, gets an error record
+    (``BrokenProcessPool: ...``; see :func:`_pool_records`). Records keep
+    manifest order. Under subject pooling, subjects with any
+    errored case are listed in the provenance as excluded.
     """
     if not cases:
         raise ValueError("cohort has no cases")
     workers = min(config.threads or os.cpu_count() or 1, len(cases))
+    jobs = _jobs(cases, workers)
+    job_cases = [[cases[i] for i in job] for job in jobs]
     if workers == 1:
-        records = [evaluate_case(case, config) for case in cases]
+        done = [_evaluate_job(job, config) for job in job_cases]
     else:
-        records = _pool_records([(case, config) for case in cases], workers)
+        done = _pool_records(job_cases, config, workers)
+    records = [None] * len(cases)
+    for job, job_records in zip(jobs, done):
+        for i, record in zip(job, job_records):
+            records[i] = record
 
     n_ok = sum(1 for r in records if r.status == "ok")
     if n_ok == 0:

@@ -23,11 +23,12 @@ is then inflated in bounded pieces and dropped, which still checks its CRC
 trailer. Multi-member gzip files are read member after member.
 
 The decoder has two consumers. :func:`load_volume` scales every chunk and
-assembles the full grid. :func:`load_mask_pair`, the case pipeline's entry
+assembles the full grid. :func:`load_mask_pairs`, the case pipeline's entry
 point, keeps only the box of each chunk's members, and assembles both masks
-cropped to the bounding box of their union, so no full-grid array is ever
-built. :func:`binarize_pair` crops two loaded volumes with the same box and
-crop code.
+of each pair cropped to the bounding box of their union, so no full-grid
+array is ever built. Pairs that share a file share its decode.
+:func:`load_mask_pair` is its one-pair case, and :func:`binarize_pair`
+crops two loaded volumes with the same box and crop code.
 
 A chunk's members are found inside the box of its voxels whose stored bits
 are not all zero, taken with ``max`` reductions over an unsigned view of
@@ -45,7 +46,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -560,12 +561,64 @@ def load_mask_pair(
     members are kept, so neither full grid is ever held. The masks equal
     ``binarize_pair(load_volume(auto_path), load_volume(manual_path), rule)``.
     """
-    auto = _VolumeFile(auto_path)
-    members_a = _members(auto, auto.chunks(), rule, auto.values)
-    manual = _VolumeFile(manual_path)
-    members_m = _members(manual, manual.chunks(), rule, manual.values)
-    check_compatible(members_a, members_m)
-    return _crop_pair(members_a, members_m)
+    (masks,) = load_mask_pairs([(auto_path, manual_path, rule)])
+    if isinstance(masks, Exception):
+        raise masks
+    return masks
+
+
+def load_mask_pairs(
+    pairs: Sequence[tuple[str | Path, str | Path, BinarizeRule]],
+) -> Iterator[tuple[BinaryMask, BinaryMask] | Exception]:
+    """:func:`load_mask_pair` for each ``(auto_path, manual_path, rule)``, in order.
+
+    Yields, per pair, the masks :func:`load_mask_pair` returns or the
+    exception it raises: the automatic file's error first, then the manual
+    file's, then the grid check's. Each (path, rule) is decoded once, and
+    its members, or its error, are kept only until the last pair that
+    reads it. Errors carry no traceback, nor do the exceptions chained to
+    them: their frames would keep a pair's members and a failed decoder's
+    bytes alive for as long as the error is.
+    """
+    keys = [((str(a), rule), (str(m), rule)) for a, m, rule in pairs]
+    last = {key: i for i, pair in enumerate(keys) for key in pair}
+    held: dict[tuple[str, BinarizeRule], _Members | Exception] = {}
+
+    def members(key: tuple[str, BinarizeRule]) -> _Members:
+        if key not in held:
+            try:
+                src = _VolumeFile(key[0])
+                held[key] = _members(src, src.chunks(), key[1], src.values)
+            except Exception as e:  # noqa: BLE001 - raised again for each pair reading the file
+                held[key] = e
+        if isinstance(held[key], Exception):
+            raise held[key]
+        return held[key]
+
+    def masks(key_a, key_m) -> tuple[BinaryMask, BinaryMask]:
+        members_a = members(key_a)
+        members_m = members(key_m)
+        check_compatible(members_a, members_m)
+        return _crop_pair(members_a, members_m)
+
+    for i, (key_a, key_m) in enumerate(keys):
+        try:
+            item = masks(key_a, key_m)
+        except Exception as e:  # noqa: BLE001 - the pair's outcome, as load_mask_pair raises it
+            item = _bare(e)  # a kept file error too: it is the object raised
+        for key in (key_a, key_m):
+            if last[key] == i:
+                held.pop(key, None)
+        yield item
+
+
+def _bare(e: Exception) -> Exception:
+    """``e``, with the tracebacks of it and of its chained exceptions dropped."""
+    link: BaseException | None = e
+    while link is not None:
+        link.__traceback__ = None
+        link = link.__cause__ or link.__context__
+    return e
 
 
 def check_compatible(

@@ -37,6 +37,7 @@ from segeval.overlap import (
 from segeval.reporting import metrics_csv_text
 from segeval.stats import GroupSample, f_cdf, one_way_anova
 from segeval.surface import (
+    compare_surfaces,
     distance_field,
     extract_surface,
     surface_metrics,
@@ -111,7 +112,7 @@ def test_criterion_01_worked_example_fidelity():
 
 
 def test_criterion_02_surface_oracle_equivalence(rng):
-    with criterion(2, "EDT path matches brute force within 1e-9 (120 pairs, 16³)"):
+    with criterion(2, "EDT path and compare_surfaces match brute force (120 pairs, 16³)"):
         t0 = time.perf_counter()
         dims = (16, 16, 16)
         checked = 0
@@ -131,6 +132,13 @@ def test_criterion_02_surface_oracle_equivalence(rng):
                     slow = surface_metrics_bruteforce(a, r)
                     for name in ("hausdorff", "rms", "assd", "mean_distance"):
                         assert abs(getattr(fast, name) - getattr(slow, name)) <= 1e-9
+                    # the route every case runs: == in index space, 1e-9 in physical
+                    case = compare_surfaces(a_mask, r_mask, space=space, connectivity=conn)
+                    for name in ("hausdorff", "rms", "assd", "mean_distance"):
+                        if space == "index":
+                            assert getattr(case, name) == getattr(slow, name)
+                        else:
+                            assert abs(getattr(case, name) - getattr(slow, name)) <= 1e-9
                     checked += 1
         assert checked >= 100
         assert time.perf_counter() - t0 < 30.0

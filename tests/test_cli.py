@@ -160,15 +160,15 @@ class TestEvaluateCommand:
         assert sizes == [2]
 
     def test_dead_worker_becomes_an_error_row(self, tmp_path, capsys, monkeypatch):
-        # pools fork, so the workers inherit the patched compute_record
-        parent, real = os.getpid(), cohort.compute_record
+        # pools fork, so the workers inherit the patched per-case step
+        parent, real = os.getpid(), cohort._record_from_masks
 
-        def dies_on_beta(case, config):
+        def dies_on_beta(case, config, *masks):
             if case.method == "beta" and os.getpid() != parent:
                 os._exit(1)
-            return real(case, config)
+            return real(case, config, *masks)
 
-        monkeypatch.setattr(cohort, "compute_record", dies_on_beta)
+        monkeypatch.setattr(cohort, "_record_from_masks", dies_on_beta)
         manifest = build_cohort(tmp_path / "cohort", n_subjects=1,
                                 structures=("left_hippocampus",))
         out = tmp_path / "out"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 import os
 
@@ -12,6 +13,7 @@ from segeval.cohort import (
     METRIC_NAMES,
     CaseSpec,
     EvalConfig,
+    evaluate_case,
     evaluate_cohort,
     parse_manifest,
     subgroup_report,
@@ -25,8 +27,11 @@ from segeval.errors import (
     TooFewGroups,
     UnknownStructure,
 )
-from segeval.reporting import anova_for_metric, metrics_csv_text
+from segeval.reporting import anova_for_metric, metrics_csv_text, write_report_bundle
 from segeval.volume import BinarizeRule
+
+# the package's ``volume`` attribute is the function overlap.volume
+volume_module = importlib.import_module("segeval.volume")
 
 
 def _write_manifest(path, lines):
@@ -231,15 +236,15 @@ class TestEvaluateCohort:
         cases = parse_manifest(manifest)
         serial = evaluate_cohort(cases, EvalConfig(threads=1)).records
         doomed = {cases[1].auto_path, cases[10].auto_path}
-        # pools fork, so the workers inherit the patched compute_record
-        parent, real = os.getpid(), cohort.compute_record
+        # pools fork, so the workers inherit the patched per-case step
+        parent, real = os.getpid(), cohort._record_from_masks
 
-        def dies_on_doomed(case, config):
+        def dies_on_doomed(case, config, *masks):
             if case.auto_path in doomed and os.getpid() != parent:
                 os._exit(1)
-            return real(case, config)
+            return real(case, config, *masks)
 
-        monkeypatch.setattr(cohort, "compute_record", dies_on_doomed)
+        monkeypatch.setattr(cohort, "_record_from_masks", dies_on_doomed)
         pooled = evaluate_cohort(cases, EvalConfig(threads=2)).records
         for case, s, p in zip(cases, serial, pooled):
             if case.auto_path in doomed:
@@ -285,6 +290,160 @@ class TestEvaluateCohort:
         )
         subjects_methods = [(r.subject, r.method) for r in result.volume_table]
         assert subjects_methods == sorted(subjects_methods)
+
+
+def _truncate(path):
+    blob = open(path, "rb").read()
+    open(path, "wb").write(blob[: len(blob) // 2])
+
+
+class TestJobs:
+    """Cases that share files run as one job, which decodes each file once."""
+
+    def test_jobs_group_cases_by_manual_path(self):
+        paths = [("a1", "m1"), ("a2", "m2"), ("a3", "m1"), ("a4", "m2"), ("a5", "m1"),
+                 ("a6", "m3")]
+        cases = [CaseSpec(f"s{i}", "alpha", "left", a, m) for i, (a, m) in enumerate(paths)]
+        assert cohort._jobs(cases, 1) == [[0, 2, 4], [1, 3], [5]]
+        assert cohort._jobs(cases, 3) == [[0, 2], [4], [1, 3], [5]]  # pieces of ⌈6/3⌉ = 2
+        assert cohort._jobs(cases, 6) == [[0], [2], [4], [1], [3], [5]]
+
+    def test_each_file_is_decoded_once(self, tmp_path, monkeypatch):
+        manifest = build_cohort(tmp_path, n_subjects=2)  # 2 structures × 3 methods
+        cases = parse_manifest(manifest)
+        config = EvalConfig(threads=1)
+        distinct = sorted({p for c in cases for p in (c.auto_path, c.manual_path)})
+        assert (len(cases), len(distinct)) == (12, 16)
+        opened = []
+
+        class CountingFile(volume_module._VolumeFile):
+            def __init__(self, path):
+                opened.append(str(path))
+                super().__init__(path)
+
+        monkeypatch.setattr(volume_module, "_VolumeFile", CountingFile)
+        clean = evaluate_cohort(cases, config).records
+        assert sorted(opened) == distinct
+        opened.clear()
+        assert [evaluate_case(c, config) for c in cases] == clean
+        assert len(opened) == 24  # one case at a time reads its manual once per method
+
+        # a failed decode is kept too: the bad manual is read once for its three cases
+        _truncate(cases[0].manual_path)
+        opened.clear()
+        dirty = evaluate_cohort(cases, config).records
+        assert sorted(opened) == distinct
+        assert [r.status for r in dirty] == ["error"] * 3 + ["ok"] * 9
+        assert dirty[3:] == clean[3:]
+
+    def test_one_shared_template_spreads_over_workers(self, tmp_path, monkeypatch):
+        manifest = build_cohort(tmp_path / "cohort", n_subjects=2)
+        template = parse_manifest(manifest)[0].manual_path
+        lines = manifest.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        manifest.write_text(
+            "\n".join([lines[0]] + [",".join(r[:4] + [template] + r[5:]) for r in rows]) + "\n"
+        )
+        cases = parse_manifest(manifest)
+        assert {c.manual_path for c in cases} == {template}
+        seen = []
+        real = cohort._jobs
+
+        def spy(cases, workers):
+            seen.append(real(cases, workers))
+            return seen[-1]
+
+        monkeypatch.setattr(cohort, "_jobs", spy)
+        bundles = []
+        for threads in (1, 2):
+            config = EvalConfig(threads=threads)
+            out = tmp_path / f"out{threads}"
+            write_report_bundle(evaluate_cohort(cases, config), out, config)
+            bundles.append({
+                name: (out / name).read_bytes()
+                for name in ("metrics.csv", "volumes.csv", "anova.csv",
+                             "boxplot.json", "scatter.json")
+            })
+        assert seen == [[list(range(12))], [list(range(6)), list(range(6, 12))]]
+        assert bundles[0] == bundles[1]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_case_keeps_its_own_error(self, tmp_path, threads):
+        manifest = build_cohort(tmp_path, n_subjects=2)
+        cases = parse_manifest(manifest)
+        config = EvalConfig(threads=threads)
+        clean = evaluate_cohort(cases, config).records
+        # s000 left: a truncated manual shared by all three methods
+        _truncate(cases[0].manual_path)
+        # s000 right: a truncated manual, and gamma's auto is no volume at all
+        _truncate(cases[3].manual_path)
+        open(cases[5].auto_path, "wb").write(b"not a volume")
+        # s001 left: beta's auto lies on another grid
+        write_rawvol(cases[7].auto_path, np.ones((16, 16, 17), np.uint8), gzipped=True)
+        dirty = evaluate_cohort(cases, config).records
+
+        bad = {0, 1, 2, 3, 4, 5, 7}
+        for i, (case, c, d) in enumerate(zip(cases, clean, dirty)):
+            assert d == (evaluate_case(case, config) if i in bad else c)
+        assert dirty[0].error.startswith("CorruptFile: ")
+        assert dirty[0].error == dirty[1].error == dirty[2].error
+        assert dirty[3].error == dirty[4].error
+        assert dirty[3].error.startswith("CorruptFile: ")
+        assert dirty[5].error.startswith("UnsupportedFormat: ")  # auto's, not manual's
+        assert dirty[7].error == "GridMismatch: (16,16,17) vs (16,16,16)"
+
+    def test_dead_worker_inside_a_job_sinks_only_its_case(self, tmp_path, monkeypatch):
+        manifest = build_cohort(tmp_path, n_subjects=2)
+        cases = parse_manifest(manifest)
+        serial = evaluate_cohort(cases, EvalConfig(threads=1)).records
+        assert cohort._jobs(cases, 2)[1] == [3, 4, 5]
+        doomed = cases[4]
+        # pools fork, so the workers inherit the patched per-case step
+        parent, real = os.getpid(), cohort._record_from_masks
+
+        def dies_on_doomed(case, config, *masks):
+            if case == doomed and os.getpid() != parent:
+                os._exit(1)
+            return real(case, config, *masks)
+
+        monkeypatch.setattr(cohort, "_record_from_masks", dies_on_doomed)
+        pooled = evaluate_cohort(cases, EvalConfig(threads=2)).records
+        assert pooled[4].status == "error"
+        assert pooled[4].error.startswith("BrokenProcessPool: ")
+        assert (pooled[4].subject, pooled[4].method) == (serial[4].subject, serial[4].method)
+        assert pooled[:4] + pooled[5:] == serial[:4] + serial[5:]
+
+    def test_a_rerun_job_goes_case_by_case_only_if_it_dies_again(self, tmp_path, monkeypatch):
+        manifest = build_cohort(tmp_path, n_subjects=1, structures=("left_hippocampus",))
+        cases = parse_manifest(manifest)  # three methods against one manual: one job
+        config = EvalConfig(threads=1)
+        serial = evaluate_cohort(cases, config).records
+        pools = []
+
+        class CountingPool(cohort.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cohort, "ProcessPoolExecutor", CountingPool)
+        assert cohort._evaluate_alone(cases, config) == serial
+        assert pools == [1]
+
+        # pools fork, so the workers inherit the patched per-case step
+        parent, real = os.getpid(), cohort._record_from_masks
+
+        def dies_on_beta(case, config, *masks):
+            if case.method == "beta" and os.getpid() != parent:
+                os._exit(1)
+            return real(case, config, *masks)
+
+        monkeypatch.setattr(cohort, "_record_from_masks", dies_on_beta)
+        pools.clear()
+        rerun = cohort._evaluate_alone(cases, config)
+        assert pools == [1, 1, 1, 1]  # the job, then each of its three cases
+        assert [r.method for r in rerun] == ["alpha", "beta", "gamma"]
+        assert rerun[1].error.startswith("BrokenProcessPool: ")
+        assert [rerun[0], rerun[2]] == [serial[0], serial[2]]
 
 
 class TestSubgroups:

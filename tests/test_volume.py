@@ -9,6 +9,7 @@ import struct
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 import zlib
 from dataclasses import asdict
 from pathlib import Path
@@ -21,6 +22,7 @@ from helpers import (
     make_volume,
     nifti_bytes,
     rawvol_bytes,
+    sphere_bits,
     write_nifti,
     write_rawvol,
 )
@@ -49,6 +51,7 @@ from segeval.volume import (
     binarize_pair,
     check_compatible,
     load_mask_pair,
+    load_mask_pairs,
     load_volume,
 )
 
@@ -516,6 +519,65 @@ def test_binarizing_follows_the_structure_not_the_grid(tmp_path):
     _, peak = _peak_mib(load_mask_pair, a, m, BinarizeRule.nonzero())
     assert peak < decoder + chunk_mib / 2
     assert peak < auto.nbytes / 2**20
+
+
+@pytest.mark.parametrize("manual", ["clean", "truncated", "corrupt"])
+def test_shared_pairs_drop_each_file_after_its_last_use(tmp_path, manual):
+    paths = {
+        name: write_rawvol(
+            tmp_path / f"{name}.rawvol",
+            sphere_bits((12, 12, 12), center, 3).astype(np.uint8),
+            gzipped=True,
+        )
+        for name, center in (("a1", (6, 6, 6)), ("a2", (7, 6, 6)), ("m", (6, 7, 6)),
+                             ("a3", (5, 5, 5)), ("n", (5, 5, 6)))
+    }
+    blob = paths["m"].read_bytes()
+    if manual == "truncated":
+        paths["m"].write_bytes(blob[: len(blob) // 2])
+    elif manual == "corrupt":  # zlib's error is chained to the CorruptFile
+        paths["m"].write_bytes(blob[:20] + bytes(b ^ 0xFF for b in blob[20:40]) + blob[40:])
+    rule = BinarizeRule.nonzero()
+    pairs = [(paths["a1"], paths["m"], rule), (paths["a2"], paths["m"], rule),
+             (paths["a3"], paths["n"], rule)]
+    decoded, opened = {}, {}
+    real = volume_module._members
+
+    def spy(src, *args):
+        opened[Path(src.path).stem] = weakref.ref(src)
+        members = real(src, *args)
+        decoded[Path(src.path).stem] = weakref.ref(members)
+        return members
+
+    def live(refs):
+        return sorted(name for name, ref in refs.items() if ref() is not None)
+
+    got = []
+    with mock.patch.object(volume_module, "_members", spy):
+        shared = load_mask_pairs(pairs)
+        got.append(next(shared))
+        # the shared manual's members, or its error, outlive the first pair
+        assert live(decoded) == (["m"] if manual == "clean" else [])
+        assert live(opened) == []
+        got.append(next(shared))
+        assert (sorted(decoded), live(decoded), live(opened)) == (
+            ["a1", "a2", "m"] if manual == "clean" else ["a1", "a2"], [], []
+        )
+        got.append(next(shared))
+        assert (live(decoded), live(opened)) == ([], [])
+        assert next(shared, None) is None
+    for masks, pair in zip(got, pairs):
+        if isinstance(masks, Exception):
+            with pytest.raises(CorruptFile) as raised:
+                load_mask_pair(*pair)
+            assert (type(masks), str(masks)) == (CorruptFile, str(raised.value))
+            continue
+        for mask, want in zip(masks, load_mask_pair(*pair)):
+            assert mask.origin == want.origin
+            assert np.array_equal(mask.bits, want.bits)
+    assert [isinstance(m, Exception) for m in got] == (
+        [False] * 3 if manual == "clean" else [True, True, False]
+    )
 
 
 def _corrupt_crc(blob: bytes) -> bytes:
