@@ -268,7 +268,8 @@ def compute_record(case: CaseSpec, config: EvalConfig) -> MetricRecord:
     """Compute all nine metrics for one case; raises on any failure.
 
     :func:`~segeval.volume.load_mask_pair` streams both files in z-slab
-    chunks and keeps only the masks cropped to the bounding box of their
+    chunks, the manual one on a helper thread that is joined before it
+    returns, and keeps only the masks cropped to the bounding box of their
     union, so no full-grid array is held. Counts, volumes, surfaces and
     distances all run on that box.
     """

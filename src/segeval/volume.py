@@ -23,12 +23,16 @@ is then inflated in bounded pieces and dropped, which still checks its CRC
 trailer. Multi-member gzip files are read member after member.
 
 The decoder has two consumers. :func:`load_volume` scales every chunk and
-assembles the full grid. :func:`load_mask_pairs`, the case pipeline's entry
-point, keeps only the box of each chunk's members, and assembles both masks
-of each pair cropped to the bounding box of their union, so no full-grid
-array is ever built. Pairs that share a file share its decode.
-:func:`load_mask_pair` is its one-pair case, and :func:`binarize_pair`
-crops two loaded volumes with the same box and crop code.
+assembles the full grid. The case pipeline keeps only the box of each
+chunk's members, and assembles both masks of a pair cropped to the
+bounding box of their union, so no full-grid array is ever built. Its two
+entry points share one per-file decode, :func:`_decode`, and one crop.
+:func:`load_mask_pair` reads one pair and decodes its two files at once,
+one on a helper thread, as zlib and NumPy release the GIL for most of the
+work. :func:`load_mask_pairs` reads a cohort job's pairs one file after the
+other, since the pool's workers already fill every core; pairs that share
+a file share its decode. :func:`binarize_pair` crops two loaded volumes
+with the same box and crop code.
 
 A chunk's members are found inside the box of its voxels whose stored bits
 are not all zero, taken with ``max`` reductions over an unsigned view of
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 import zlib
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -74,7 +79,7 @@ _RAWVOL_DTYPES = {
 }
 _RAWVOL_MAGIC = b"RAWVOL1\n"
 
-_CHUNK_SLABS = 16  # z-slabs per decoded chunk
+_CHUNK_SLABS = 4  # z-slabs per decoded chunk
 _HEADER_BYTES = 4096  # decoded prefix that must hold a rawvol header
 _DRAIN_BYTES = 1 << 20  # largest piece inflated to skip or drop bytes
 
@@ -550,21 +555,53 @@ def binarize_pair(
     )
 
 
+def _decode(path: str, rule: BinarizeRule) -> _Members | Exception:
+    """The members of the file at ``path`` under ``rule``, or the error its decode raised."""
+    try:
+        src = _VolumeFile(path)
+        return _members(src, src.chunks(), rule, src.values)
+    except Exception as e:  # noqa: BLE001 - the file's outcome, raised by each pair reading it
+        return e
+
+
 def load_mask_pair(
     auto_path: str | Path, manual_path: str | Path, rule: BinarizeRule
 ) -> tuple[BinaryMask, BinaryMask]:
     """Read and binarize a co-registered pair, both cropped to the box around their union.
 
-    Each file is decoded chunk by chunk and validated completely, the
-    automatic one first; then the grids are checked, as :func:`load_volume`
-    twice and :func:`binarize_pair` would. Only the boxes of each chunk's
-    members are kept, so neither full grid is ever held. The masks equal
+    Each file is decoded chunk by chunk and validated completely: the
+    manual one on a helper thread while the calling thread decodes the
+    automatic one, since zlib and NumPy release the GIL for most of that
+    work. The helper is joined before the function returns or raises. A
+    pair that reads one file twice decodes it once, on the calling thread.
+    Then the grids are checked. The automatic file's error is raised first,
+    then the manual file's, then the grid check's, as :func:`load_volume`
+    twice and :func:`binarize_pair` would raise them, and as
+    :func:`load_mask_pairs` yields them: with no traceback from the decode.
+    Only the boxes of each chunk's members are kept, so neither full grid
+    is ever held. The masks equal
     ``binarize_pair(load_volume(auto_path), load_volume(manual_path), rule)``.
     """
-    (masks,) = load_mask_pairs([(auto_path, manual_path, rule)])
-    if isinstance(masks, Exception):
-        raise masks
-    return masks
+    auto, manual = str(auto_path), str(manual_path)
+    if auto == manual:
+        members_a = members_m = _decode(auto, rule)
+    else:
+        decoded = []
+        helper = threading.Thread(target=lambda: decoded.append(_decode(manual, rule)))
+        helper.start()
+        try:
+            members_a = _decode(auto, rule)
+        finally:
+            helper.join()
+        (members_m,) = decoded
+    try:
+        for members in (members_a, members_m):
+            if isinstance(members, Exception):
+                raise members
+        check_compatible(members_a, members_m)
+        return _crop_pair(members_a, members_m)
+    except Exception as e:  # noqa: BLE001 - raised as load_mask_pairs yields it
+        raise _bare(e)
 
 
 def load_mask_pairs(
@@ -574,11 +611,12 @@ def load_mask_pairs(
 
     Yields, per pair, the masks :func:`load_mask_pair` returns or the
     exception it raises: the automatic file's error first, then the manual
-    file's, then the grid check's. Each (path, rule) is decoded once, and
-    its members, or its error, are kept only until the last pair that
-    reads it. Errors carry no traceback, nor do the exceptions chained to
-    them: their frames would keep a pair's members and a failed decoder's
-    bytes alive for as long as the error is.
+    file's, then the grid check's. Files are decoded one after the other,
+    on the calling thread: a cohort's pool workers already fill every core.
+    Each (path, rule) is decoded once, and its members, or its error, are
+    kept only until the last pair that reads it. Errors carry no traceback,
+    nor do the exceptions chained to them: their frames would keep a pair's
+    members and a failed decoder's bytes alive for as long as the error is.
     """
     keys = [((str(a), rule), (str(m), rule)) for a, m, rule in pairs]
     last = {key: i for i, pair in enumerate(keys) for key in pair}
@@ -586,11 +624,7 @@ def load_mask_pairs(
 
     def members(key: tuple[str, BinarizeRule]) -> _Members:
         if key not in held:
-            try:
-                src = _VolumeFile(key[0])
-                held[key] = _members(src, src.chunks(), key[1], src.values)
-            except Exception as e:  # noqa: BLE001 - raised again for each pair reading the file
-                held[key] = e
+            held[key] = _decode(*key)
         if isinstance(held[key], Exception):
             raise held[key]
         return held[key]

@@ -13,6 +13,7 @@ from segeval.cohort import (
     METRIC_NAMES,
     CaseSpec,
     EvalConfig,
+    compute_record,
     evaluate_case,
     evaluate_cohort,
     parse_manifest,
@@ -215,6 +216,23 @@ class TestEvaluateCohort:
             result = evaluate_cohort(cases, config)
             texts.append(metrics_csv_text(result.records, config))
         assert texts[0] == texts[1]
+
+    def test_a_pool_forked_after_a_single_case_gives_the_serial_bundle(self, tmp_path):
+        # compute_record decodes on a helper thread; a pool forks this process after it
+        manifest = build_cohort(tmp_path / "cohort", n_subjects=2)
+        cases = parse_manifest(manifest)
+        assert compute_record(cases[0], EvalConfig(threads=1)).status == "ok"
+        bundles = []
+        for threads in (2, 1):
+            config = EvalConfig(threads=threads)
+            out = tmp_path / f"out{threads}"
+            write_report_bundle(evaluate_cohort(cases, config), out, config)
+            bundles.append({
+                name: (out / name).read_bytes()
+                for name in ("metrics.csv", "volumes.csv", "anova.csv",
+                             "boxplot.json", "scatter.json")
+            })
+        assert bundles[0] == bundles[1]
 
     def test_isolation_of_corrupt_case(self, tmp_path):
         manifest = build_cohort(tmp_path, n_subjects=2)

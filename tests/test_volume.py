@@ -7,6 +7,9 @@ import io
 import math
 import struct
 import tempfile
+import threading
+import time
+import traceback
 import tracemalloc
 import warnings
 import weakref
@@ -26,7 +29,7 @@ from helpers import (
     write_nifti,
     write_rawvol,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segeval import cli
@@ -490,34 +493,47 @@ def test_binarizing_follows_the_structure_not_the_grid(tmp_path):
     manual = _ball_grid(dims, (101, 120, 70), 14)
     a = write_nifti(tmp_path / "a.nii.gz", auto, gzipped=True)
     m = write_nifti(tmp_path / "m.nii.gz", manual, gzipped=True)
-    seen = []
+    seen = {}  # the spy's calls, per thread
 
     def spy(data, rule):
-        seen.append(data.shape)
+        seen.setdefault(threading.get_ident(), []).append(data.shape)
         return apply_rule(data, rule)
 
     apply_rule = volume_module._apply_rule
     with mock.patch.object(volume_module, "_apply_rule", spy):
         masks = load_mask_pair(a, m, BinarizeRule.nonzero())
     assert [mask.count for mask in masks] == [auto.sum(), manual.sum()]
-    # one zero-value probe per file, then each chunk's nonzero box alone
+    # per file, one zero-value probe, then each chunk's nonzero box alone;
+    # the calling thread decodes the automatic file, a helper the manual one
     slabs = volume_module._CHUNK_SLABS
     probe = [(1, 1, 1)]
-    assert seen == probe + _nonzero_boxes(auto, slabs) + probe + _nonzero_boxes(manual, slabs)
+    helper = next(ident for ident in seen if ident != threading.get_ident())
+    assert seen == {
+        threading.get_ident(): probe + _nonzero_boxes(auto, slabs),
+        helper: probe + _nonzero_boxes(manual, slabs),
+    }
 
-    # Beyond what the decoder itself holds while both files are read, only
-    # the small boxes may be added. Flags for a whole chunk, as a full-chunk
-    # rule makes, would add one chunk (1 MiB of uint8 voxels); half of one
-    # is the bound. Neither file's full grid is ever held.
-    def decode(*paths):
-        for path in paths:
-            for _chunk in volume_module._VolumeFile(path).chunks():
-                pass
+    # Beyond what the decoder itself holds while both files are read at
+    # once, only the small boxes may be added. Flags for a whole chunk, as a
+    # full-chunk rule makes, would add one chunk (256 KiB of uint8 voxels);
+    # half of one is the bound. Neither file's full grid is ever held.
+    def read(path):
+        for _chunk in volume_module._VolumeFile(path).chunks():
+            pass
+
+    def decode(auto_path, manual_path):
+        reader = threading.Thread(target=read, args=(manual_path,))
+        reader.start()
+        try:
+            read(auto_path)
+        finally:
+            reader.join()
 
     chunk_mib = dims[0] * dims[1] * slabs / 2**20
     _, decoder = _peak_mib(decode, a, m)
     _, peak = _peak_mib(load_mask_pair, a, m, BinarizeRule.nonzero())
     assert peak < decoder + chunk_mib / 2
+    assert peak < 2
     assert peak < auto.nbytes / 2**20
 
 
@@ -578,6 +594,112 @@ def test_shared_pairs_drop_each_file_after_its_last_use(tmp_path, manual):
     assert [isinstance(m, Exception) for m in got] == (
         [False] * 3 if manual == "clean" else [True, True, False]
     )
+
+
+def test_a_pair_reading_one_file_decodes_it_once(tmp_path, monkeypatch):
+    path, other = (
+        write_nifti(tmp_path / name, _ball_grid((12, 12, 12), center, 3), gzipped=True)
+        for name, center in (("v.nii.gz", (6, 6, 6)), ("w.nii.gz", (5, 6, 6)))
+    )
+    opened, started = [], []
+    real_start = threading.Thread.start
+
+    class CountingFile(volume_module._VolumeFile):
+        def __init__(self, path):
+            opened.append(str(path))
+            super().__init__(path)
+
+    def start(self):
+        started.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(volume_module, "_VolumeFile", CountingFile)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    mask_a, mask_m = load_mask_pair(path, str(path), BinarizeRule.nonzero())
+    assert (opened, started) == ([str(path)], [])
+    assert mask_a.count == mask_m.count > 0
+    load_mask_pair(path, other, BinarizeRule.nonzero())
+    assert (sorted(opened[1:]), len(started)) == ([str(path), str(other)], 1)
+
+
+def _pair_files(tmp_path, case):
+    """An automatic and a manual file, spoiled as ``case`` names."""
+    dims = (12, 12, 12)
+    auto = _ball_grid(dims, (6, 6, 6), 3).astype(np.float32)
+    manual = _ball_grid(dims, (5, 6, 6), 3).astype(np.float32)
+    spacing = (1.0, 1.0, 1.0)
+    if case == "grid":
+        manual = np.zeros((12, 12, 13), np.float32)
+    elif case == "spacing":
+        spacing = (1.0, 1.0, 1.5)
+    elif case in ("nan-manual", "both-bad"):
+        manual[0, 0, 11] = np.nan
+    a = write_nifti(tmp_path / "a.nii.gz", auto, gzipped=True)
+    m = write_nifti(tmp_path / "m.nii.gz", manual, spacing, gzipped=True)
+    spoiled = {"bad-auto": a, "both-bad": a, "truncated-manual": m, "flipped-manual": m}
+    if case in spoiled:
+        blob = spoiled[case].read_bytes()
+        if case == "flipped-manual":  # zlib's error is chained to the CorruptFile
+            blob = blob[:20] + bytes(b ^ 0xFF for b in blob[20:40]) + blob[40:]
+        else:
+            blob = blob[: len(blob) // 2]
+        spoiled[case].write_bytes(blob)
+    return a, m
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["bad-auto", "truncated-manual", "flipped-manual", "nan-manual", "both-bad",
+     "grid", "spacing"],
+)
+def test_a_failed_pair_raises_what_the_shared_route_yields(tmp_path, case):
+    a, m = _pair_files(tmp_path, case)
+    rule = BinarizeRule.nonzero()
+    before = threading.active_count()
+    with pytest.raises(SegEvalError) as raised:
+        load_mask_pair(a, m, rule)
+    assert threading.active_count() == before
+    (want,) = load_mask_pairs([(a, m, rule)])
+    error = raised.value
+    assert (type(error), str(error)) == (type(want), str(want))
+    assert str(error).startswith({
+        "bad-auto": f"{a}: bad gzip stream", "both-bad": f"{a}: bad gzip stream",
+        "truncated-manual": f"{m}: bad gzip stream", "flipped-manual": f"{m}: bad gzip stream",
+        "nan-manual": f"{m}: volume holds NaN voxels", "grid": "(12,12,12) vs (12,12,13)",
+        "spacing": "spacing (1.0, 1.0, 1.0) vs (1.0, 1.0, 1.5)",
+    }[case])
+    # no frame of the decode or of the grid check is kept, nor a chained one
+    frames = [frame.f_code.co_name for frame, _ in traceback.walk_tb(error.__traceback__)]
+    assert frames[-1] == "load_mask_pair"
+    chained = []
+    link = error.__cause__ or error.__context__
+    while link is not None:
+        chained.append(link)
+        link = link.__cause__ or link.__context__
+    assert [type(e) for e in chained] == ([zlib.error] if case == "flipped-manual" else [])
+    assert all(e.__traceback__ is None for e in chained)
+
+
+def test_a_pair_joins_its_helper_on_return_and_on_interrupt(tmp_path, monkeypatch):
+    a, m = _pair_files(tmp_path, "clean")
+    rule = BinarizeRule.nonzero()
+    before = threading.active_count()
+    load_mask_pair(a, m, rule)
+    assert threading.active_count() == before
+    real, decoded = volume_module._decode, []
+
+    def decode(path, rule):
+        if path == str(a):
+            raise KeyboardInterrupt
+        time.sleep(0.05)  # the helper is still at work when the interrupt is raised
+        decoded.append(real(path, rule))
+        return decoded[-1]
+
+    monkeypatch.setattr(volume_module, "_decode", decode)
+    with pytest.raises(KeyboardInterrupt):
+        load_mask_pair(a, m, rule)
+    assert threading.active_count() == before
+    assert len(decoded) == 1  # the helper ran to its end before the raise left
 
 
 def _corrupt_crc(blob: bytes) -> bytes:
@@ -682,7 +804,7 @@ def _encoded_pairs(draw):
         write["scl_slope"] = draw(st.sampled_from((0.0, 1.0, 2.5, -1.0)))
         write["scl_inter"] = draw(st.sampled_from((0.0, -1.0, 0.5, 2.0)))
     rule = draw(st.sampled_from(_RULES))
-    slabs = draw(st.sampled_from((1, 3)))
+    slabs = draw(st.sampled_from((1, 3, 4)))
     return pair, special, nifti, write, rule, slabs
 
 
@@ -709,8 +831,19 @@ def _pasted(mask):
     return full
 
 
+def _ball_pair_across_chunks():
+    """Two int16 balls that cross a chunk edge at 4 slabs, the default, with nz = 7."""
+    dims = (6, 5, 7)
+    pair = [sphere_bits(dims, (3, 2, 3), 2).astype(np.int16),
+            2 * sphere_bits(dims, (2, 2, 4), 2).astype(np.int16)]
+    write = {"members": 1, "byteorder": "<", "vox_offset": 352,
+             "scl_slope": 0.0, "scl_inter": 0.0}
+    return pair, "none", True, write, BinarizeRule.nonzero(), 4
+
+
 @settings(max_examples=150, deadline=None)
 @given(_encoded_pairs())
+@example(_ball_pair_across_chunks())
 def test_streamed_pair_equals_the_full_grid_route(example):
     (auto, manual), special, nifti, write, rule, slabs = example
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
@@ -730,7 +863,7 @@ def test_streamed_pair_equals_the_full_grid_route(example):
         assert got == want
 
         if special == "nan":
-            # the automatic file is read in full first
+            # the automatic file's error is reported first
             message = f"{a if np.isnan(auto).any() else m}: volume holds NaN voxels"
             for route in routes:
                 with pytest.raises(CorruptFile) as err:
