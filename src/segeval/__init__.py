@@ -16,7 +16,6 @@ from .cohort import (  # noqa: E402
     MetricRecord,
     VolumeRow,
     compute_record,
-    evaluate_case,
     evaluate_cohort,
     parse_manifest,
     subgroup_report,
@@ -50,14 +49,10 @@ from .stats import (  # noqa: E402
     one_way_anova,
 )
 from .surface import (  # noqa: E402
-    DistanceField,
     SurfaceDistanceResult,
     SurfacePointSet,
     compare_surfaces,
-    directed_hausdorff,
-    distance_field,
     extract_surface,
-    surface_metrics,
     surface_metrics_bruteforce,
 )
 from .volume import (  # noqa: E402
@@ -65,7 +60,6 @@ from .volume import (  # noqa: E402
     BinaryMask,
     LabelVolume,
     binarize,
-    binarize_pair,
     check_compatible,
     load_mask_pair,
     load_volume,
@@ -80,7 +74,6 @@ __all__ = [
     "CaseSpec",
     "CohortResult",
     "ConfusionCounts",
-    "DistanceField",
     "EvalConfig",
     "GroupSample",
     "LabelVolume",
@@ -94,15 +87,11 @@ __all__ = [
     "anova_for_metric",
     "betainc_regularized",
     "binarize",
-    "binarize_pair",
     "check_compatible",
     "compare_surfaces",
     "compute_record",
     "confusion_counts",
     "dice",
-    "directed_hausdorff",
-    "distance_field",
-    "evaluate_case",
     "evaluate_cohort",
     "extract_surface",
     "f_cdf",
@@ -119,7 +108,6 @@ __all__ = [
     "sensitivity",
     "similarity",
     "subgroup_report",
-    "surface_metrics",
     "surface_metrics_bruteforce",
     "volume",
     "write_report_bundle",

@@ -310,14 +310,6 @@ def _record_from_masks(
     )
 
 
-def evaluate_case(case: CaseSpec, config: EvalConfig) -> MetricRecord:
-    """Like :func:`compute_record`, but failures become error-status records."""
-    try:
-        return compute_record(case, config)
-    except Exception as e:  # noqa: BLE001 - isolation is the contract here
-        return _error_record(case, config, e)
-
-
 def _error_record(case: CaseSpec, config: EvalConfig, e: BaseException) -> MetricRecord:
     return MetricRecord(
         subject=case.subject_id,
@@ -331,7 +323,12 @@ def _error_record(case: CaseSpec, config: EvalConfig, e: BaseException) -> Metri
 
 
 def _evaluate_job(cases: list[CaseSpec], config: EvalConfig) -> list[MetricRecord]:
-    """:func:`evaluate_case` for each case, decoding each (path, rule) once."""
+    """Each case's record, decoding each (path, rule) once.
+
+    A case that fails gets an error-status record whose ``error`` is
+    ``"<exception type>: <message>"``, for the exception
+    :func:`compute_record` raises on it; the job goes on with the next case.
+    """
     pairs = load_mask_pairs(
         [(c.auto_path, c.manual_path, c.binarize_rule or config.default_rule) for c in cases]
     )
@@ -342,7 +339,7 @@ def _evaluate_job(cases: list[CaseSpec], config: EvalConfig) -> list[MetricRecor
             continue
         try:
             records.append(_record_from_masks(case, config, *masks))
-        except Exception as e:  # noqa: BLE001 - as in evaluate_case
+        except Exception as e:  # noqa: BLE001 - a failed case becomes its error record
             records.append(_error_record(case, config, e))
     return records
 
@@ -431,13 +428,14 @@ def evaluate_cohort(
     """Evaluate every case (in parallel) and assemble the volume table.
 
     Cases run in jobs (:func:`_jobs`): each job decodes each file it reads
-    once per binarize rule, and a case's record, or its error, is the one
-    :func:`evaluate_case` gives it. Jobs are spread over the workers; one
-    worker runs them in process. A case whose worker dies in its job, in
-    that job's rerun and then alone, gets an error record
-    (``BrokenProcessPool: ...``; see :func:`_pool_records`). Records keep
-    manifest order. Under subject pooling, subjects with any
-    errored case are listed in the provenance as excluded.
+    once per binarize rule, and a case's record is the one
+    :func:`compute_record` returns for it or, if that raises, an error
+    record naming the exception (:func:`_evaluate_job`). Jobs are spread
+    over the workers; one worker runs them in process. A case whose worker
+    dies in its job, in that job's rerun and then alone, gets an error
+    record (``BrokenProcessPool: ...``; see :func:`_pool_records`). Records
+    keep manifest order. Under subject pooling, subjects with any errored
+    case are listed in the provenance as excluded.
     """
     if not cases:
         raise ValueError("cohort has no cases")

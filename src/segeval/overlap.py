@@ -56,7 +56,7 @@ def confusion_counts(a: BinaryMask, m: BinaryMask) -> ConfusionCounts:
     """Tally TP = |A∩M|, FP = |A∖M|, FN = |M∖A|, TN = remainder.
 
     Both masks must cover the same box: the full grid (:func:`binarize`) or
-    the pair's union box (:func:`binarize_pair`, :func:`load_mask_pair`). TN
+    the pair's union box (:func:`load_mask_pair`, :func:`load_mask_pairs`). TN
     comes from the full grid size, so full-grid and cropped pairs give the
     same tallies.
     """

@@ -18,11 +18,11 @@ The transform is separable: one pass per axis, each setting
 ``out[i] = min over |k| ≤ w of f[i±k] + step²·k·k`` for a window w. After
 the three passes every squared distance below T = min(step²)·(w+1)² is
 exact, and every other value is an overestimate at or above T. With
-w ≥ max(dims) − 1 the windows span the grid and every value is exact; that
-is what :func:`distance_field` computes. Each value is then the minimum
-over sites of ``(h0·k0·k0 + h1·k1·k1) + h2·k2·k2`` (h = step²), because
-float rounding is monotone: a minimum plus a constant is the minimum of
-the sums.
+w ≥ max(dims) − 1 the windows span the grid and every value is exact, so
+a round of stage 3 below whose window spans its box settles every query.
+Each value is then the minimum over sites of
+``(h0·k0·k0 + h1·k1·k1) + h2·k2·k2`` (h = step²), because float rounding
+is monotone: a minimum plus a constant is the minimum of the sums.
 
 Surfaces of overlapping structures lie a few voxels apart, so the route
 works at the query voxels, in three stages that each compute that same
@@ -96,23 +96,6 @@ class SurfacePointSet:
         if self.space == "physical":
             coords = coords * np.asarray(self.spacing, dtype=np.float64)
         return coords
-
-
-@dataclass(frozen=True, eq=False)
-class DistanceField:
-    """Euclidean distance from every voxel center to a surface point set.
-
-    Zero exactly at surface voxels; 1-Lipschitz in the coordinates of its
-    space.
-    """
-
-    dims: tuple[int, int, int]
-    values: np.ndarray  # (nx, ny, nz) float64
-    space: str
-    spacing: tuple[float, float, float]
-
-    def values_at(self, indices: np.ndarray) -> np.ndarray:
-        return self.values[indices[:, 0], indices[:, 1], indices[:, 2]]
 
 
 @dataclass(frozen=True)
@@ -345,43 +328,6 @@ def _nearest_distances(
     return np.sqrt(out)
 
 
-def distance_field(
-    surface: SurfacePointSet,
-    dims: tuple[int, int, int],
-    spacing: tuple[float, float, float] | None = None,
-) -> DistanceField:
-    """Exact Euclidean distance from every voxel center to the surface.
-
-    Separable windowed passes, one per axis, each with a window spanning
-    the grid, so every value is exact (see the module docstring);
-    anisotropic spacing is honored in physical space. Not a chamfer
-    approximation: index-space values are exact square roots of integers.
-    """
-    if surface.count == 0:
-        raise EmptySurface("cannot build a distance field from an empty surface")
-    if spacing is None:
-        spacing = surface.spacing
-    idx = surface.indices
-    if (idx < 0).any() or (idx >= np.asarray(dims)).any():
-        raise ValueError(f"surface points fall outside dims {dims}")
-    steps = spacing if surface.space == "physical" else (1.0, 1.0, 1.0)
-    sites = np.zeros(dims, dtype=bool)
-    sites[idx[:, 0], idx[:, 1], idx[:, 2]] = True
-    values = np.sqrt(_squared_edt(sites, steps, max(dims) - 1))
-    return DistanceField(dims=dims, values=values, space=surface.space, spacing=spacing)
-
-
-def directed_hausdorff(from_set: SurfacePointSet, to_field: DistanceField) -> float:
-    """One directed max-min distance: max over the set of the field value there."""
-    if from_set.count == 0:
-        raise EmptySurface("directed Hausdorff from an empty surface")
-    if from_set.space != to_field.space:
-        raise ValueError(
-            f"space mismatch: set is {from_set.space}, field is {to_field.space}"
-        )
-    return float(to_field.values_at(from_set.indices).max())
-
-
 def _pooled_result(d_am: np.ndarray, d_ma: np.ndarray, space: str) -> SurfaceDistanceResult:
     h_am = float(d_am.max())
     h_ma = float(d_ma.max())
@@ -399,37 +345,16 @@ def _pooled_result(d_am: np.ndarray, d_ma: np.ndarray, space: str) -> SurfaceDis
     )
 
 
-def surface_metrics(
-    a: SurfacePointSet,
-    r: SurfacePointSet,
-    field_a: DistanceField,
-    field_r: DistanceField,
-) -> SurfaceDistanceResult:
-    """Hausdorff, RMS, ASSD, and mean surface distance from distance fields.
-
-    ``field_a`` must be the field of ``a``'s surface and ``field_r`` of
-    ``r``'s; nearest-surface distances are the field values sampled at the
-    opposing surface's voxels. RMS and ASSD pool both directions over
-    |S_A| + |S_R| terms; mean_distance averages the two directed means.
-    """
-    if a.count == 0 or r.count == 0:
-        raise EmptySurface("surface metrics need two nonempty surfaces")
-    spaces = {a.space, r.space, field_a.space, field_r.space}
-    if len(spaces) != 1:
-        raise ValueError(f"mixed spaces {spaces}")
-    d_am = field_r.values_at(a.indices)
-    d_ma = field_a.values_at(r.indices)
-    return _pooled_result(d_am, d_ma, a.space)
-
-
 def surface_metrics_bruteforce(
     a: SurfacePointSet, r: SurfacePointSet, chunk: int = 1024
 ) -> SurfaceDistanceResult:
-    """Same contract as :func:`surface_metrics`, by exhaustive pairwise distances.
+    """Hausdorff, RMS, ASSD and mean surface distance, by exhaustive pairwise distances.
 
-    The reference that :func:`compare_surfaces` is tested and spot-checked
-    against, at a cost of |S_A|·|S_R| distance terms; no production path
-    calls it.
+    Each voxel of one surface takes its distance to the nearest voxel of
+    the other. RMS and ASSD pool both directions over |S_A| + |S_R| terms;
+    mean_distance averages the two directed means. The reference that
+    :func:`compare_surfaces` is tested and spot-checked against, at a cost
+    of |S_A|·|S_R| distance terms; no production path calls it.
     """
     if a.count == 0 or r.count == 0:
         raise EmptySurface("surface metrics need two nonempty surfaces")

@@ -23,16 +23,16 @@ is then inflated in bounded pieces and dropped, which still checks its CRC
 trailer. Multi-member gzip files are read member after member.
 
 The decoder has two consumers. :func:`load_volume` scales every chunk and
-assembles the full grid. The case pipeline keeps only the box of each
-chunk's members, and assembles both masks of a pair cropped to the
-bounding box of their union, so no full-grid array is ever built. Its two
-entry points share one per-file decode, :func:`_decode`, and one crop.
-:func:`load_mask_pair` reads one pair and decodes its two files at once,
-one on a helper thread, as zlib and NumPy release the GIL for most of the
-work. :func:`load_mask_pairs` reads a cohort job's pairs one file after the
-other, since the pool's workers already fill every core; pairs that share
-a file share its decode. :func:`binarize_pair` crops two loaded volumes
-with the same box and crop code.
+assembles the full grid, which :func:`binarize` turns into a full-grid
+mask. The case pipeline keeps only the box of each chunk's members, and
+assembles both masks of a pair cropped to the bounding box of their union,
+so no full-grid array is ever built. Its two entry points share one
+per-file decode, :func:`_decode`, and one error order and crop,
+:func:`_masks`. :func:`load_mask_pair` reads one pair and decodes its two
+files at once, one on a helper thread, as zlib and NumPy release the GIL
+for most of the work. :func:`load_mask_pairs` reads a cohort job's pairs
+one file after the other, since the pool's workers already fill every
+core; pairs that share a file share its decode.
 
 A chunk's members are found inside the box of its voxels whose stored bits
 are not all zero, taken with ``max`` reductions over an unsigned view of
@@ -51,7 +51,7 @@ import math
 import struct
 import threading
 import zlib
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -102,11 +102,12 @@ class LabelVolume:
 class BinaryMask:
     """Membership flags on the grid of the volume it was derived from.
 
-    ``bits`` covers either the whole grid or a box of it whose lowest corner
-    sits at ``origin``; voxels outside the box are non-members. ``dims``
-    is always the full grid. ``count`` is computed once, so ``bits`` must not
-    change after construction; :func:`binarize`, :func:`binarize_pair` and
-    :func:`load_mask_pair` hand out read-only arrays.
+    ``bits`` covers either the whole grid (:func:`binarize`) or a box of it
+    whose lowest corner sits at ``origin`` (:func:`load_mask_pair`,
+    :func:`load_mask_pairs`); voxels outside the box are non-members.
+    ``dims`` is always the full grid. ``count`` is computed once, so
+    ``bits`` must not change after construction; all three functions hand
+    out read-only arrays.
     """
 
     dims: tuple[int, int, int]
@@ -289,6 +290,7 @@ class _VolumeFile:
                     f"header promises {nz * slab}"
                 )
             yield z0, np.frombuffer(buf, dtype=self._dtype).reshape((nx, ny, k), order="F")
+            del buf  # so the consumer's drop frees the chunk before the next is inflated
         self._stream.drain()
         _check_spacing(self.spacing, self.path)
         if self._has_nan:
@@ -476,42 +478,47 @@ def _nonzero_box(stored: np.ndarray) -> tuple[slice, slice, slice] | None:
     return tuple(slice(int(h[0]), int(h[-1]) + 1) for h in (xs, ys, zs))
 
 
-def _members(
-    vol: LabelVolume | _VolumeFile,
-    chunks: Iterable[tuple[int, np.ndarray]],
-    rule: BinarizeRule,
-    values: Callable[[np.ndarray], np.ndarray] = lambda stored: stored,
-) -> _Members:
-    """The members of ``vol``, from its ``(z0, stored)`` chunks.
+def _members(src: _VolumeFile, rule: BinarizeRule) -> _Members:
+    """The members of the file ``src``, read chunk by chunk.
 
-    ``values`` maps stored voxels to the values the rule sees (for a file,
-    :meth:`_VolumeFile.values`). Per chunk, only the box of voxels with a
-    nonzero stored bit is passed through ``values`` and the rule, unless
-    the zero value is itself a member; then the box is the whole chunk.
-    The members' box within it is kept.
+    Per chunk, only the box of voxels with a nonzero stored bit is passed
+    through :meth:`_VolumeFile.values` and the rule, unless the zero value
+    is itself a member; then the box is the whole chunk. The members' box
+    within it is kept.
     """
     pieces = []
     zero_member = None
-    for z0, stored in chunks:
-        if zero_member is None:  # every chunk of a volume has one dtype
-            zero = values(np.zeros((1, 1, 1), stored.dtype))
+    for z0, stored in src.chunks():
+        if zero_member is None:  # every chunk of a file has one dtype
+            zero = src.values(np.zeros((1, 1, 1), stored.dtype))
             zero_member = bool(_apply_rule(zero, rule).any())
-        whole = tuple(slice(0, n) for n in stored.shape)
-        box = whole if zero_member else _nonzero_box(stored)
-        if box is None:
-            continue
-        bits = _apply_rule(values(stored[box]), rule)
-        if not bits.any():
-            continue
-        tight = []
-        for axis in range(3):
-            others = tuple(ax for ax in range(3) if ax != axis)
-            hits = np.flatnonzero(bits.any(axis=others))
-            tight.append(slice(int(hits[0]), int(hits[-1]) + 1))
-        x, y, z = (b.start + t.start for b, t in zip(box, tight))
-        # a copy, so the box's flags are freed
-        pieces.append(((x, y, z0 + z), bits[tuple(tight)].copy()))
-    return _Members(vol.dims, vol.spacing, pieces)
+        piece = _chunk_members(src, z0, stored, rule, zero_member)
+        del stored  # freed before the next chunk is inflated
+        if piece is not None:
+            pieces.append(piece)
+    return _Members(src.dims, src.spacing, pieces)
+
+
+def _chunk_members(
+    src: _VolumeFile, z0: int, stored: np.ndarray, rule: BinarizeRule, zero_member: bool
+) -> tuple[tuple[int, int, int], np.ndarray] | None:
+    """The grid corner and a copy of the box of the members of the chunk at
+    slab ``z0``; None if it has none."""
+    whole = tuple(slice(0, n) for n in stored.shape)
+    box = whole if zero_member else _nonzero_box(stored)
+    if box is None:
+        return None
+    bits = _apply_rule(src.values(stored[box]), rule)
+    if not bits.any():
+        return None
+    tight = []
+    for axis in range(3):
+        others = tuple(ax for ax in range(3) if ax != axis)
+        hits = np.flatnonzero(bits.any(axis=others))
+        tight.append(slice(int(hits[0]), int(hits[-1]) + 1))
+    x, y, z = (b.start + t.start for b, t in zip(box, tight))
+    # a copy, so the box's flags are freed
+    return (x, y, z0 + z), bits[tuple(tight)].copy()
 
 
 def _crop_pair(a: _Members, m: _Members) -> tuple[BinaryMask, BinaryMask]:
@@ -540,26 +547,10 @@ def _crop_pair(a: _Members, m: _Members) -> tuple[BinaryMask, BinaryMask]:
     return masks[0], masks[1]
 
 
-def binarize_pair(
-    vol_a: LabelVolume, vol_m: LabelVolume, rule: BinarizeRule
-) -> tuple[BinaryMask, BinaryMask]:
-    """Binarize a co-registered pair, both cropped to the box around their union.
-
-    The same box and crop as :func:`load_mask_pair`, on volumes already
-    loaded in full.
-    """
-    check_compatible(vol_a, vol_m)
-    return _crop_pair(
-        _members(vol_a, [(0, vol_a.data)], rule),
-        _members(vol_m, [(0, vol_m.data)], rule),
-    )
-
-
 def _decode(path: str, rule: BinarizeRule) -> _Members | Exception:
     """The members of the file at ``path`` under ``rule``, or the error its decode raised."""
     try:
-        src = _VolumeFile(path)
-        return _members(src, src.chunks(), rule, src.values)
+        return _members(_VolumeFile(path), rule)
     except Exception as e:  # noqa: BLE001 - the file's outcome, raised by each pair reading it
         return e
 
@@ -574,13 +565,12 @@ def load_mask_pair(
     automatic one, since zlib and NumPy release the GIL for most of that
     work. The helper is joined before the function returns or raises. A
     pair that reads one file twice decodes it once, on the calling thread.
-    Then the grids are checked. The automatic file's error is raised first,
-    then the manual file's, then the grid check's, as :func:`load_volume`
-    twice and :func:`binarize_pair` would raise them, and as
-    :func:`load_mask_pairs` yields them: with no traceback from the decode.
+    Then the grids are checked (:func:`_masks`), and an error is raised
+    as :func:`load_mask_pairs` yields it: with no traceback from the decode.
     Only the boxes of each chunk's members are kept, so neither full grid
-    is ever held. The masks equal
-    ``binarize_pair(load_volume(auto_path), load_volume(manual_path), rule)``.
+    is ever held. Pasted at its ``origin``, each mask equals
+    ``binarize(load_volume(path), rule).bits``, and the box is the bounding
+    box of the union of the two.
     """
     auto, manual = str(auto_path), str(manual_path)
     if auto == manual:
@@ -595,11 +585,7 @@ def load_mask_pair(
             helper.join()
         (members_m,) = decoded
     try:
-        for members in (members_a, members_m):
-            if isinstance(members, Exception):
-                raise members
-        check_compatible(members_a, members_m)
-        return _crop_pair(members_a, members_m)
+        return _masks(members_a, members_m)
     except Exception as e:  # noqa: BLE001 - raised as load_mask_pairs yields it
         raise _bare(e)
 
@@ -621,29 +607,33 @@ def load_mask_pairs(
     keys = [((str(a), rule), (str(m), rule)) for a, m, rule in pairs]
     last = {key: i for i, pair in enumerate(keys) for key in pair}
     held: dict[tuple[str, BinarizeRule], _Members | Exception] = {}
-
-    def members(key: tuple[str, BinarizeRule]) -> _Members:
-        if key not in held:
-            held[key] = _decode(*key)
-        if isinstance(held[key], Exception):
-            raise held[key]
-        return held[key]
-
-    def masks(key_a, key_m) -> tuple[BinaryMask, BinaryMask]:
-        members_a = members(key_a)
-        members_m = members(key_m)
-        check_compatible(members_a, members_m)
-        return _crop_pair(members_a, members_m)
-
     for i, (key_a, key_m) in enumerate(keys):
+        for key in (key_a, key_m):
+            if key not in held:
+                held[key] = _decode(*key)
         try:
-            item = masks(key_a, key_m)
+            item = _masks(held[key_a], held[key_m])
         except Exception as e:  # noqa: BLE001 - the pair's outcome, as load_mask_pair raises it
             item = _bare(e)  # a kept file error too: it is the object raised
         for key in (key_a, key_m):
             if last[key] == i:
                 held.pop(key, None)
         yield item
+
+
+def _masks(
+    members_a: _Members | Exception, members_m: _Members | Exception
+) -> tuple[BinaryMask, BinaryMask]:
+    """A pair's two masks from its files' decodes, or the pair's error.
+
+    The automatic file's error is raised first, then the manual file's,
+    then the grid check's.
+    """
+    for members in (members_a, members_m):
+        if isinstance(members, Exception):
+            raise members
+    check_compatible(members_a, members_m)
+    return _crop_pair(members_a, members_m)
 
 
 def _bare(e: Exception) -> Exception:

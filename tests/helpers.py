@@ -14,7 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from segeval.volume import BinaryMask, LabelVolume
+from segeval.volume import (
+    BinarizeRule,
+    BinaryMask,
+    LabelVolume,
+    binarize,
+    load_mask_pair,
+    load_volume,
+)
 
 _NIFTI_CODES = {"uint8": 2, "int16": 4, "int32": 8, "float32": 16, "float64": 64}
 
@@ -112,6 +119,36 @@ def make_mask(bits: np.ndarray, spacing=(1.0, 1.0, 1.0)) -> BinaryMask:
 def make_volume(data: np.ndarray, spacing=(1.0, 1.0, 1.0)) -> LabelVolume:
     data = np.asarray(data)
     return LabelVolume(dims=data.shape, spacing=spacing, data=data)
+
+
+def embed(mask: BinaryMask) -> np.ndarray:
+    """The flags of ``mask`` on its full grid: ``bits`` placed at ``origin``."""
+    full = np.zeros(mask.dims, dtype=bool)
+    full[tuple(slice(o, o + n) for o, n in zip(mask.origin, mask.bits.shape))] = mask.bits
+    return full
+
+
+def loaded_pair(root: Path, auto: np.ndarray, manual: np.ndarray, rule: BinarizeRule,
+                spacing=(1.0, 1.0, 1.0)) -> tuple[tuple[BinaryMask, BinaryMask], list[BinaryMask]]:
+    """The cropped masks ``load_mask_pair`` reads from the two arrays written as
+    rawvol files, and ``binarize(load_volume(path), rule)`` of each file.
+
+    Checks the cropped masks against the full-grid ones on the way: each one
+    embedded at its origin equals its full-grid flags, and the box is the
+    bounding box of the union of those flags.
+    """
+    paths = [write_rawvol(Path(root) / f"{role}.rawvol", data, spacing)
+             for role, data in (("auto", auto), ("manual", manual))]
+    cropped = load_mask_pair(*paths, rule)
+    full = [binarize(load_volume(path), rule) for path in paths]
+    hits = np.argwhere(full[0].bits | full[1].bits)
+    lo, hi = (hits.min(axis=0), hits.max(axis=0) + 1) if len(hits) else ((0, 0, 0),) * 2
+    for crop, whole in zip(cropped, full):
+        assert (crop.dims, crop.spacing) == (whole.dims, whole.spacing)
+        assert crop.origin == tuple(int(n) for n in lo)
+        assert crop.bits.shape == tuple(int(h - l) for h, l in zip(hi, lo))
+        np.testing.assert_array_equal(embed(crop), whole.bits, strict=True)
+    return cropped, full
 
 
 def random_bits(rng: np.random.Generator, dims, p: float = 0.2,

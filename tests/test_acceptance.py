@@ -36,13 +36,7 @@ from segeval.overlap import (
 )
 from segeval.reporting import metrics_csv_text
 from segeval.stats import GroupSample, f_cdf, one_way_anova
-from segeval.surface import (
-    compare_surfaces,
-    distance_field,
-    extract_surface,
-    surface_metrics,
-    surface_metrics_bruteforce,
-)
+from segeval.surface import compare_surfaces, extract_surface, surface_metrics_bruteforce
 
 
 @contextmanager
@@ -112,7 +106,7 @@ def test_criterion_01_worked_example_fidelity():
 
 
 def test_criterion_02_surface_oracle_equivalence(rng):
-    with criterion(2, "EDT path and compare_surfaces match brute force (120 pairs, 16³)"):
+    with criterion(2, "compare_surfaces matches brute force (120 pairs, 16³)"):
         t0 = time.perf_counter()
         dims = (16, 16, 16)
         checked = 0
@@ -124,14 +118,7 @@ def test_criterion_02_surface_oracle_equivalence(rng):
                     r_mask = make_mask(random_bits(rng, dims, rng.uniform(0.05, 0.5)), spacing)
                     a = extract_surface(a_mask, space=space, connectivity=conn)
                     r = extract_surface(r_mask, space=space, connectivity=conn)
-                    fast = surface_metrics(
-                        a, r,
-                        distance_field(a, dims, spacing),
-                        distance_field(r, dims, spacing),
-                    )
                     slow = surface_metrics_bruteforce(a, r)
-                    for name in ("hausdorff", "rms", "assd", "mean_distance"):
-                        assert abs(getattr(fast, name) - getattr(slow, name)) <= 1e-9
                     # the route every case runs: == in index space, 1e-9 in physical
                     case = compare_surfaces(a_mask, r_mask, space=space, connectivity=conn)
                     for name in ("hausdorff", "rms", "assd", "mean_distance"):

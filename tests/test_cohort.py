@@ -14,7 +14,6 @@ from segeval.cohort import (
     CaseSpec,
     EvalConfig,
     compute_record,
-    evaluate_case,
     evaluate_cohort,
     parse_manifest,
     subgroup_report,
@@ -343,7 +342,7 @@ class TestJobs:
         clean = evaluate_cohort(cases, config).records
         assert sorted(opened) == distinct
         opened.clear()
-        assert [evaluate_case(c, config) for c in cases] == clean
+        assert [compute_record(c, config) for c in cases] == clean
         assert len(opened) == 24  # one case at a time reads its manual once per method
 
         # a failed decode is kept too: the bad manual is read once for its three cases
@@ -402,7 +401,14 @@ class TestJobs:
 
         bad = {0, 1, 2, 3, 4, 5, 7}
         for i, (case, c, d) in enumerate(zip(cases, clean, dirty)):
-            assert d == (evaluate_case(case, config) if i in bad else c)
+            if i not in bad:
+                assert d == c
+                continue
+            # the error record names what the case alone raises
+            with pytest.raises(Exception) as raised:
+                compute_record(case, config)
+            e = raised.value
+            assert (d.status, d.error) == ("error", f"{type(e).__name__}: {e}")
         assert dirty[0].error.startswith("CorruptFile: ")
         assert dirty[0].error == dirty[1].error == dirty[2].error
         assert dirty[3].error == dirty[4].error

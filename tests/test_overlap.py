@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from helpers import enumerate_confusion, make_mask, make_volume, random_bits
+from helpers import enumerate_confusion, loaded_pair, make_mask, random_bits
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -24,7 +24,7 @@ from segeval.overlap import (
     similarity,
     volume,
 )
-from segeval.volume import BinarizeRule, binarize, binarize_pair
+from segeval.volume import BinarizeRule
 
 counts_nonempty = st.tuples(
     st.integers(0, 500), st.integers(0, 500), st.integers(0, 500), st.integers(0, 500)
@@ -63,12 +63,11 @@ class TestConfusionCounts:
             assert (c.tp, c.fp, c.fn, c.tn) == enumerate_confusion(a, m)
 
 
-def _full_and_cropped(a_bits, m_bits, spacing=(1.0, 1.0, 1.0)):
-    vol_a = make_volume(a_bits.astype(np.uint8), spacing)
-    vol_m = make_volume(m_bits.astype(np.uint8), spacing)
-    rule = BinarizeRule.nonzero()
-    full = (binarize(vol_a, rule), binarize(vol_m, rule))
-    return full, binarize_pair(vol_a, vol_m, rule)
+def _full_and_cropped(root, a_bits, m_bits, spacing=(1.0, 1.0, 1.0)):
+    cropped, full = loaded_pair(
+        root, a_bits.astype(np.uint8), m_bits.astype(np.uint8), BinarizeRule.nonzero(), spacing
+    )
+    return full, cropped
 
 
 def _sparse_bits(rng, dims=(12, 11, 10)):
@@ -82,11 +81,11 @@ def _sparse_bits(rng, dims=(12, 11, 10)):
 
 
 class TestCroppedMasks:
-    def test_counts_and_volumes_match_the_full_grid(self, rng):
+    def test_counts_and_volumes_match_the_full_grid(self, rng, tmp_path):
         spacing = (0.781, 0.781, 2.0)
         for _ in range(30):
             a, m = _sparse_bits(rng), _sparse_bits(rng)
-            (full_a, full_m), (crop_a, crop_m) = _full_and_cropped(a, m, spacing)
+            (full_a, full_m), (crop_a, crop_m) = _full_and_cropped(tmp_path, a, m, spacing)
             c_full = confusion_counts(full_a, full_m)
             c_crop = confusion_counts(crop_a, crop_m)
             assert (c_crop.tp, c_crop.fp, c_crop.fn, c_crop.tn) == (
@@ -96,15 +95,15 @@ class TestCroppedMasks:
                 assert volume(crop_a, unit) == volume(full_a, unit)
                 assert volume(crop_m, unit) == volume(full_m, unit)
 
-    def test_masks_on_different_boxes_are_refused(self, rng):
+    def test_masks_on_different_boxes_are_refused(self, rng, tmp_path):
         a, m = _sparse_bits(rng), _sparse_bits(rng)
-        (full_a, _), (crop_a, crop_m) = _full_and_cropped(a, m)
+        (full_a, _), (crop_a, crop_m) = _full_and_cropped(tmp_path, a, m)
         with pytest.raises(ValueError, match="different boxes"):
             confusion_counts(crop_a, make_mask(m))
         with pytest.raises(ValueError, match="different boxes"):
             confusion_counts(full_a, crop_m)
 
-    def test_empty_pairs_raise_as_on_the_full_grid(self):
+    def test_empty_pairs_raise_as_on_the_full_grid(self, tmp_path):
         manual = np.zeros((8, 8, 8), dtype=bool)
         manual[2:5, 3:6, 4:6] = True
         empty = np.zeros_like(manual)
@@ -113,7 +112,7 @@ class TestCroppedMasks:
             (empty, empty, dice, BothMasksEmpty),
             (empty, empty, similarity, BothMasksEmpty),
         ):
-            (full_a, full_m), (crop_a, crop_m) = _full_and_cropped(a, m)
+            (full_a, full_m), (crop_a, crop_m) = _full_and_cropped(tmp_path, a, m)
             with pytest.raises(error) as on_full:
                 score(confusion_counts(full_a, full_m))
             with pytest.raises(error) as on_crop:

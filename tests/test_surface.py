@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import make_mask, make_volume, random_bits, sphere_bits, write_rawvol
+from helpers import loaded_pair, make_mask, make_volume, random_bits, sphere_bits, write_rawvol
 
 from segeval import surface
 from segeval.cohort import CaseSpec, EvalConfig, compute_record
@@ -15,19 +15,30 @@ from segeval.errors import EmptyMask, EmptySurface
 from segeval.surface import (
     SurfacePointSet,
     compare_surfaces,
-    directed_hausdorff,
-    distance_field,
     extract_surface,
-    surface_metrics,
     surface_metrics_bruteforce,
 )
-from segeval.volume import BinarizeRule, BinaryMask, binarize, binarize_pair
+from segeval.volume import BinarizeRule, BinaryMask, binarize
 
 
 def _point_set(points, space="index", spacing=(1.0, 1.0, 1.0)):
     return SurfacePointSet(
         indices=np.asarray(points, dtype=np.int64), space=space, spacing=spacing
     )
+
+
+def _mask_of(points, dims, spacing=(1.0, 1.0, 1.0)):
+    bits = np.zeros(dims, dtype=bool)
+    bits[tuple(np.asarray(points).T)] = True
+    return make_mask(bits, spacing)
+
+
+def _spanning_field(sites, dims, steps=(1.0, 1.0, 1.0)):
+    """Distance from every voxel to the nearest of the ``sites`` indices: the
+    windowed transform with a window spanning the grid, so every value is exact."""
+    grid = np.zeros(dims, dtype=bool)
+    grid[tuple(np.asarray(sites).T)] = True
+    return np.sqrt(surface._squared_edt(grid, steps, max(dims) - 1))
 
 
 def _must_not_run(route):
@@ -105,21 +116,21 @@ class TestExtractSurface:
 
 
 class TestDistanceField:
+    """The windowed transform, with a window spanning the grid."""
+
     def test_single_site_corner_value(self):
-        surf = _point_set([(2, 2, 2)])
-        field = distance_field(surf, (5, 5, 5))
-        assert field.values[0, 0, 0] == pytest.approx(math.sqrt(12), abs=1e-12)
+        field = _spanning_field([(2, 2, 2)], (5, 5, 5))
+        assert field[0, 0, 0] == pytest.approx(math.sqrt(12), abs=1e-12)
 
     def test_zero_at_sites(self, rng):
         bits = random_bits(rng, (7, 7, 7), 0.3)
         surf = extract_surface(make_mask(bits))
-        field = distance_field(surf, (7, 7, 7))
-        assert np.all(field.values_at(surf.indices) == 0.0)
+        field = _spanning_field(surf.indices, (7, 7, 7))
+        assert np.all(field[tuple(surf.indices.T)] == 0.0)
 
     def test_physical_z_step(self):
-        surf = _point_set([(0, 0, 0)], space="physical", spacing=(1.0, 1.0, 2.0))
-        field = distance_field(surf, (3, 3, 3))
-        assert field.values[0, 0, 1] == pytest.approx(2.0, abs=1e-12)
+        field = _spanning_field([(0, 0, 0)], (3, 3, 3), (1.0, 1.0, 2.0))
+        assert field[0, 0, 1] == pytest.approx(2.0, abs=1e-12)
 
     def test_exact_on_random_fixtures(self, rng):
         # oracle: brute-force minimum over all site points
@@ -129,14 +140,14 @@ class TestDistanceField:
             space = "index" if trial % 2 == 0 else "physical"
             bits = random_bits(rng, dims, 0.1)
             surf = extract_surface(make_mask(bits, spacing), space=space)
-            field = distance_field(surf, dims, spacing)
             scale = np.ones(3) if space == "index" else np.asarray(spacing)
+            field = _spanning_field(surf.indices, dims, tuple(scale))
             pts = surf.indices * scale
             grid = np.indices(dims).reshape(3, -1).T * scale
             brute = np.sqrt(
                 ((grid[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
             ).min(1).reshape(dims)
-            assert np.abs(field.values - brute).max() <= 1e-9
+            assert np.abs(field - brute).max() <= 1e-9
 
     def test_matches_scipy(self, rng):
         ndimage = pytest.importorskip("scipy.ndimage")
@@ -146,61 +157,44 @@ class TestDistanceField:
             spacing = (0.781, 0.9, 2.0) if space == "physical" else (1.0, 1.0, 1.0)
             sites = random_bits(rng, dims, 0.01)
             sites[tuple(int(rng.integers(n)) for n in dims)] = True
-            field = distance_field(_point_set(np.argwhere(sites), space, spacing), dims)
+            field = _spanning_field(np.argwhere(sites), dims, spacing)
             expected = ndimage.distance_transform_edt(~sites, sampling=spacing)
-            assert np.abs(field.values - expected).max() <= 1e-9
+            assert np.abs(field - expected).max() <= 1e-9
 
     def test_lipschitz_in_physical_coords(self, rng):
         spacing = (0.7, 1.3, 2.0)
         bits = random_bits(rng, (9, 9, 9), 0.15)
         surf = extract_surface(make_mask(bits, spacing), space="physical")
-        field = distance_field(surf, (9, 9, 9), spacing)
+        field = _spanning_field(surf.indices, (9, 9, 9), spacing)
         for axis, step in enumerate(spacing):
-            diff = np.abs(np.diff(field.values, axis=axis))
+            diff = np.abs(np.diff(field, axis=axis))
             assert diff.max() <= step + 1e-9
-
-    def test_empty_surface(self):
-        surf = _point_set(np.empty((0, 3)))
-        with pytest.raises(EmptySurface):
-            distance_field(surf, (3, 3, 3))
-
-    def test_points_outside_dims(self):
-        with pytest.raises(ValueError):
-            distance_field(_point_set([(5, 0, 0)]), (3, 3, 3))
 
 
 class TestDirectedHausdorff:
     def test_identical_sets(self):
-        s = _point_set([(1, 1, 1), (2, 1, 1)])
-        field = distance_field(s, (4, 4, 4))
-        assert directed_hausdorff(s, field) == 0.0
+        s = _mask_of([(1, 1, 1), (2, 1, 1)], (4, 4, 4))
+        res = compare_surfaces(s, s)
+        assert res.directed_h_am == res.directed_h_ma == 0.0
 
     def test_single_pair(self):
-        a = _point_set([(0, 0, 0)])
-        b = _point_set([(3, 4, 0)])
-        field_b = distance_field(b, (5, 5, 5))
-        assert directed_hausdorff(a, field_b) == pytest.approx(5.0, abs=1e-12)
+        a = _mask_of([(0, 0, 0)], (5, 5, 5))
+        b = _mask_of([(3, 4, 0)], (5, 5, 5))
+        assert compare_surfaces(a, b).directed_h_am == pytest.approx(5.0, abs=1e-12)
 
     def test_max_over_points(self):
-        a = _point_set([(1, 0, 0), (2, 0, 0)])
-        b = _point_set([(0, 0, 0)])
-        field_b = distance_field(b, (4, 1, 1))
-        assert directed_hausdorff(a, field_b) == pytest.approx(2.0, abs=1e-12)
-
-
-def _metrics_via_fields(a, r, dims, spacing=(1.0, 1.0, 1.0)):
-    field_a = distance_field(a, dims, spacing)
-    field_r = distance_field(r, dims, spacing)
-    return surface_metrics(a, r, field_a, field_r)
+        a = _mask_of([(1, 0, 0), (2, 0, 0)], (4, 1, 1))
+        b = _mask_of([(0, 0, 0)], (4, 1, 1))
+        assert compare_surfaces(a, b).directed_h_am == pytest.approx(2.0, abs=1e-12)
 
 
 class TestSurfaceMetrics:
     def test_worked_example_both_paths(self):
-        a = _point_set([(0, 0, 0)])
-        r = _point_set([(1, 0, 0), (2, 0, 0)])
+        a = [(0, 0, 0)]
+        r = [(1, 0, 0), (2, 0, 0)]
         for result in (
-            _metrics_via_fields(a, r, (3, 1, 1)),
-            surface_metrics_bruteforce(a, r),
+            compare_surfaces(_mask_of(a, (3, 1, 1)), _mask_of(r, (3, 1, 1))),
+            surface_metrics_bruteforce(_point_set(a), _point_set(r)),
         ):
             assert result.hausdorff == pytest.approx(2.0, abs=1e-12)
             assert result.assd == pytest.approx(4 / 3, abs=1e-12)
@@ -210,9 +204,8 @@ class TestSurfaceMetrics:
             assert result.directed_h_ma == pytest.approx(2.0, abs=1e-12)
 
     def test_identical_surfaces_all_zero(self, rng):
-        bits = random_bits(rng, (6, 6, 6), 0.3)
-        s = extract_surface(make_mask(bits))
-        result = _metrics_via_fields(s, s, (6, 6, 6))
+        mask = make_mask(random_bits(rng, (6, 6, 6), 0.3))
+        result = compare_surfaces(mask, mask)
         assert (result.hausdorff, result.rms, result.assd, result.mean_distance) == (
             0.0, 0.0, 0.0, 0.0,
         )
@@ -227,12 +220,10 @@ class TestSurfaceMetrics:
         # single-voxel masks offset by known integer vectors
         for offset, k in (((1, 0, 0), 1), ((1, 1, 0), 2), ((2, 2, 2), 12),
                           ((3, 3, 0), 18), ((3, 4, 0), 25), ((5, 5, 0), 50)):
-            a = _point_set([(0, 0, 0)])
-            r = _point_set([offset])
             dims = tuple(o + 1 for o in offset)
-            res = _metrics_via_fields(a, r, dims)
+            res = compare_surfaces(_mask_of([(0, 0, 0)], dims), _mask_of([offset], dims))
             assert res.hausdorff == math.sqrt(k)
-            res_bf = surface_metrics_bruteforce(a, r)
+            res_bf = surface_metrics_bruteforce(_point_set([(0, 0, 0)]), _point_set([offset]))
             assert res_bf.hausdorff == math.sqrt(k)
 
     def test_empty_surface_error(self):
@@ -269,7 +260,7 @@ class TestOracleEquivalence:
                     r_mask = make_mask(random_bits(rng, dims, 0.25), spacing)
                     a = extract_surface(a_mask, space=space, connectivity=conn)
                     r = extract_surface(r_mask, space=space, connectivity=conn)
-                    fast = _metrics_via_fields(a, r, dims, spacing)
+                    fast = compare_surfaces(a_mask, r_mask, space=space, connectivity=conn)
                     slow = surface_metrics_bruteforce(a, r)
                     for name in ("hausdorff", "rms", "assd", "mean_distance"):
                         assert abs(getattr(fast, name) - getattr(slow, name)) <= 1e-9
@@ -507,10 +498,9 @@ class TestWindowedTransform:
         assert engine.hausdorff == float(gap)
 
 
-def _field_values(sites, queries, dims, space, steps):
+def _field_values(sites, queries, dims, steps):
     """The oracle: a full distance field of ``sites``, read at ``queries``."""
-    field = distance_field(SurfacePointSet(indices=sites, space=space, spacing=steps), dims)
-    return field.values_at(queries)
+    return _spanning_field(sites, dims, steps)[tuple(queries.T)]
 
 
 @st.composite
@@ -568,7 +558,7 @@ class TestNearestDistances:
             surface, "_bruteforce_squared", brute
         ):
             got = surface._nearest_distances(sites, queries, dims, steps)
-        want = _field_values(sites, queries, dims, space, steps)
+        want = _field_values(sites, queries, dims, steps)
         np.testing.assert_array_equal(got, want, strict=True)
         # the search settled some queries, one w = 8 round most of the rest,
         # and brute force the far one
@@ -597,7 +587,7 @@ class TestNearestDistances:
             sites = np.argwhere(random_bits(rng, dims, 0.01))
             queries = np.argwhere(random_bits(rng, dims, 0.3))
             got = surface._nearest_distances(sites, queries, dims, steps)
-            want = _field_values(sites, queries, dims, "physical", steps)
+            want = _field_values(sites, queries, dims, steps)
             np.testing.assert_array_equal(got, want, strict=True)
 
     def test_a_step_whose_square_overflows(self, rng):
@@ -609,7 +599,7 @@ class TestNearestDistances:
         sites[0] = random_bits(rng, dims[1:], 0.1)
         sites, queries = np.argwhere(sites), np.argwhere(random_bits(rng, dims, 0.5))
         got = surface._nearest_distances(sites, queries, dims, steps)
-        want = _field_values(sites, queries, dims, "physical", steps)
+        want = _field_values(sites, queries, dims, steps)
         np.testing.assert_array_equal(got, want, strict=True)
         assert np.isinf(got[queries[:, 0] > 0]).all() and np.isfinite(got).any()
 
@@ -690,25 +680,21 @@ def _sparse_pair(rng, dims=(18, 17, 16)):
 
 
 class TestCroppedMasks:
-    def test_surface_indices_match_the_full_grid(self, rng):
+    def test_surface_indices_match_the_full_grid(self, rng, tmp_path):
         rule = BinarizeRule.nonzero()
         for _ in range(15):
-            vols = [make_volume(bits) for bits in _sparse_pair(rng)]
-            cropped = binarize_pair(*vols, rule)
-            for vol, crop in zip(vols, cropped):
-                full = binarize(vol, rule)
+            cropped, full = loaded_pair(tmp_path, *_sparse_pair(rng), rule)
+            for crop, whole in zip(cropped, full):
                 for connectivity in (6, 26):
                     np.testing.assert_array_equal(
                         extract_surface(crop, connectivity=connectivity).indices,
-                        extract_surface(full, connectivity=connectivity).indices,
+                        extract_surface(whole, connectivity=connectivity).indices,
                     )
 
-    def test_distances_match_the_full_grid(self, rng):
+    def test_distances_match_the_full_grid(self, rng, tmp_path):
         rule = BinarizeRule.nonzero()
         for _ in range(8):
-            vols = [make_volume(bits, (0.781, 0.781, 2.0)) for bits in _sparse_pair(rng)]
-            full = [binarize(vol, rule) for vol in vols]
-            cropped = binarize_pair(*vols, rule)
+            cropped, full = loaded_pair(tmp_path, *_sparse_pair(rng), rule, (0.781, 0.781, 2.0))
             for space in ("index", "physical"):
                 assert compare_surfaces(*cropped, space=space) == compare_surfaces(
                     *full, space=space

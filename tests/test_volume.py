@@ -21,7 +21,9 @@ from unittest import mock
 import numpy as np
 import pytest
 from helpers import (
+    embed,
     gzip_members,
+    loaded_pair,
     make_volume,
     nifti_bytes,
     rawvol_bytes,
@@ -51,7 +53,6 @@ from segeval.overlap import confusion_counts
 from segeval.volume import (
     BinarizeRule,
     binarize,
-    binarize_pair,
     check_compatible,
     load_mask_pair,
     load_mask_pairs,
@@ -278,62 +279,60 @@ class TestBinarize:
         assert mask.bits.flags.f_contiguous
         np.testing.assert_array_equal(mask.bits, data > 100)
 
-    def test_count_is_computed_once(self):
+    def test_count_is_computed_once(self, tmp_path):
         mask = binarize(make_volume(np.eye(4)[:, :, None]), BinarizeRule.nonzero())
         assert mask.count == 4
         assert mask.__dict__["count"] == 4  # cached on the instance
         # so the bits it was counted from cannot change under it
         assert not mask.bits.flags.writeable
-        for cropped in binarize_pair(
-            make_volume(np.eye(4)[:, :, None]), make_volume(np.eye(4)[:, :, None]),
-            BinarizeRule.nonzero(),
-        ):
+        eye = np.eye(4, dtype=np.uint8)[:, :, None]
+        for cropped in loaded_pair(tmp_path, eye, eye, BinarizeRule.nonzero())[0]:
             assert not cropped.bits.flags.writeable
 
 
 class TestBinarizePair:
-    def test_crops_to_union_bounding_box(self):
+    """A pair read by :func:`load_mask_pair`, against ``binarize`` of each full grid."""
+
+    def test_crops_to_union_bounding_box(self, tmp_path):
         a = np.zeros((10, 9, 8), dtype=np.uint8)
         m = np.zeros((10, 9, 8), dtype=np.uint8)
         a[2, 3, 4] = 1
         m[5, 1, 6] = 1
         m[4, 7, 5] = 1
-        mask_a, mask_m = binarize_pair(
-            make_volume(a), make_volume(m), BinarizeRule.nonzero()
-        )
+        (mask_a, mask_m), _ = loaded_pair(tmp_path, a, m, BinarizeRule.nonzero())
         for mask, full in ((mask_a, a), (mask_m, m)):
             assert mask.dims == (10, 9, 8)
             assert mask.origin == (2, 1, 4)
             assert mask.bits.shape == (4, 7, 3)
             np.testing.assert_array_equal(mask.bits, full[2:6, 1:8, 4:7] != 0)
 
-    def test_both_empty_gives_an_empty_box(self):
-        zeros = make_volume(np.zeros((4, 4, 4), dtype=np.uint8))
-        mask_a, mask_m = binarize_pair(zeros, zeros, BinarizeRule.nonzero())
+    def test_both_empty_gives_an_empty_box(self, tmp_path):
+        zeros = np.zeros((4, 4, 4), dtype=np.uint8)
+        (mask_a, mask_m), _ = loaded_pair(tmp_path, zeros, zeros, BinarizeRule.nonzero())
         assert mask_a.count == mask_m.count == 0
         assert mask_a.dims == (4, 4, 4)
         c = confusion_counts(mask_a, mask_m)
         assert (c.tp, c.fp, c.fn, c.tn) == (0, 0, 0, 64)
 
-    def test_rule_applies_to_both(self):
-        a = make_volume(np.array([[[0, 17, 53, 17]]], dtype=np.int32))
-        m = make_volume(np.array([[[17, 53, 0, 0]]], dtype=np.int32))
-        mask_a, mask_m = binarize_pair(a, m, BinarizeRule.equals(17))
+    def test_rule_applies_to_both(self, tmp_path):
+        a = np.array([[[0, 17, 53, 17]]], dtype=np.int32)
+        m = np.array([[[17, 53, 0, 0]]], dtype=np.int32)
+        (mask_a, mask_m), _ = loaded_pair(tmp_path, a, m, BinarizeRule.equals(17))
         assert mask_a.origin == (0, 0, 0)
         np.testing.assert_array_equal(mask_a.bits, [[[False, True, False, True]]])
         np.testing.assert_array_equal(mask_m.bits, [[[True, False, False, False]]])
 
-    def test_grid_mismatch_checked_on_the_volumes(self):
-        a = make_volume(np.ones((4, 4, 4)))
-        m = make_volume(np.ones((4, 4, 5)))
+    def test_grid_mismatch_checked_on_the_volumes(self, tmp_path):
+        a = write_rawvol(tmp_path / "a.rawvol", np.ones((4, 4, 4)))
+        m = write_rawvol(tmp_path / "m.rawvol", np.ones((4, 4, 5)))
         with pytest.raises(GridMismatch, match=r"\(4,4,4\) vs \(4,4,5\)"):
-            binarize_pair(a, m, BinarizeRule.nonzero())
+            load_mask_pair(a, m, BinarizeRule.nonzero())
 
-    def test_spacing_mismatch_checked_on_the_volumes(self):
-        a = make_volume(np.ones((4, 4, 4)), (0.781, 0.781, 2.0))
-        m = make_volume(np.ones((4, 4, 4)), (0.78, 0.78, 2.0))
+    def test_spacing_mismatch_checked_on_the_volumes(self, tmp_path):
+        a = write_rawvol(tmp_path / "a.rawvol", np.ones((4, 4, 4)), (0.781, 0.781, 2.0))
+        m = write_rawvol(tmp_path / "m.rawvol", np.ones((4, 4, 4)), (0.78, 0.78, 2.0))
         with pytest.raises(SpacingMismatch, match="axis x"):
-            binarize_pair(a, m, BinarizeRule.nonzero())
+            load_mask_pair(a, m, BinarizeRule.nonzero())
 
 
 @st.composite
@@ -381,10 +380,9 @@ def test_embedding_in_a_larger_empty_grid_changes_no_metric(example):
     assert big == small
 
     rule = BinarizeRule.nonzero()
-    c_small = confusion_counts(*binarize_pair(make_volume(auto), make_volume(manual), rule))
-    c_big = confusion_counts(
-        *binarize_pair(make_volume(big_auto), make_volume(big_manual), rule)
-    )
+    with tempfile.TemporaryDirectory() as tmp:
+        c_small = confusion_counts(*loaded_pair(Path(tmp), auto, manual, rule)[0])
+        c_big = confusion_counts(*loaded_pair(Path(tmp), big_auto, big_manual, rule)[0])
     assert (c_big.tp, c_big.fp, c_big.fn) == (c_small.tp, c_small.fp, c_small.fn)
     assert c_big.tn - c_small.tn == math.prod(big_auto.shape) - math.prod(auto.shape)
 
@@ -535,6 +533,27 @@ def test_binarizing_follows_the_structure_not_the_grid(tmp_path):
     assert peak < decoder + chunk_mib / 2
     assert peak < 2
     assert peak < auto.nbytes / 2**20
+
+
+@pytest.mark.parametrize("reader", ["chunks", "members"])
+def test_a_decode_drops_each_chunk_before_it_inflates_the_next(tmp_path, reader):
+    # zlib joins its output blocks at the end of each inflate, so a chunk
+    # exists twice for a moment; a chunk still held from before makes three
+    dims = (256, 256, 40)
+    path = write_nifti(tmp_path / "v.nii.gz", _ball_grid(dims, (128, 128, 20), 14), gzipped=True)
+    chunk_mib = dims[0] * dims[1] * volume_module._CHUNK_SLABS / 2**20
+
+    def read(src):
+        for _z0, stored in src.chunks():
+            del stored
+
+    def members(src):
+        volume_module._members(src, BinarizeRule.nonzero())
+
+    decode = {"chunks": read, "members": members}
+    src = volume_module._VolumeFile(path)  # the compressed file is read before tracing
+    _, peak = _peak_mib(decode[reader], src)
+    assert peak < 2.5 * chunk_mib
 
 
 @pytest.mark.parametrize("manual", ["clean", "truncated", "corrupt"])
@@ -824,11 +843,11 @@ def _outcome(fn):
         return (type(e), str(e))
 
 
-def _pasted(mask):
-    """The flags of ``mask`` on its full grid."""
-    full = np.zeros(mask.dims, dtype=bool)
-    full[tuple(slice(o, o + n) for o, n in zip(mask.origin, mask.bits.shape))] = mask.bits
-    return full
+def _full_grid_masks(auto_path, manual_path, rule):
+    """Both files' full-grid masks, with errors in :func:`load_mask_pair`'s order."""
+    vols = [load_volume(auto_path), load_volume(manual_path)]
+    check_compatible(*vols)
+    return tuple(binarize(vol, rule) for vol in vols)
 
 
 def _ball_pair_across_chunks():
@@ -851,24 +870,20 @@ def test_streamed_pair_equals_the_full_grid_route(example):
     ):
         a = _write(Path(tmp) / "a.vol", auto, nifti, write)
         m = _write(Path(tmp) / "m.vol", manual, nifti, write)
-        routes = (
-            lambda: load_mask_pair(a, m, rule),
-            lambda: binarize_pair(load_volume(a), load_volume(m), rule),
-        )
         case = CaseSpec("s", "m", "left", a, m, binarize_rule=rule)
         config = EvalConfig(threads=1)
         got = _outcome(lambda: asdict(compute_record(case, config)))
-        with mock.patch.object(cohort_module, "load_mask_pair", lambda a, m, r: routes[1]()):
+        # the same record from full-grid masks, or the same error
+        with mock.patch.object(cohort_module, "load_mask_pair", _full_grid_masks):
             want = _outcome(lambda: asdict(compute_record(case, config)))
         assert got == want
 
         if special == "nan":
             # the automatic file's error is reported first
             message = f"{a if np.isnan(auto).any() else m}: volume holds NaN voxels"
-            for route in routes:
-                with pytest.raises(CorruptFile) as err:
-                    route()
-                assert str(err.value) == message
+            with pytest.raises(CorruptFile) as err:
+                load_mask_pair(a, m, rule)
+            assert str(err.value) == message
             assert got == (CorruptFile, message)
             return
 
@@ -878,14 +893,13 @@ def test_streamed_pair_equals_the_full_grid_route(example):
         want_bits = [binarize(vol, rule).bits for vol in vols]
         hits = np.argwhere(want_bits[0] | want_bits[1])
         origin, end = (hits.min(axis=0), hits.max(axis=0) + 1) if len(hits) else ([0] * 3,) * 2
-        for masks in (route() for route in routes):
-            for mask, vol, bits in zip(masks, vols, want_bits):
-                assert (mask.dims, mask.spacing) == (vol.dims, vol.spacing)
-                assert mask.origin == tuple(int(o) for o in origin)
-                assert mask.bits.shape == tuple(int(e - o) for e, o in zip(end, origin))
-                assert mask.bits.dtype == bool and mask.bits.flags.c_contiguous
-                assert not mask.bits.flags.writeable
-                np.testing.assert_array_equal(_pasted(mask), bits, strict=True)
+        for mask, vol, bits in zip(load_mask_pair(a, m, rule), vols, want_bits):
+            assert (mask.dims, mask.spacing) == (vol.dims, vol.spacing)
+            assert mask.origin == tuple(int(o) for o in origin)
+            assert mask.bits.shape == tuple(int(e - o) for e, o in zip(end, origin))
+            assert mask.bits.dtype == bool and mask.bits.flags.c_contiguous
+            assert not mask.bits.flags.writeable
+            np.testing.assert_array_equal(embed(mask), bits, strict=True)
 
 
 # header fields the fuzz rewrites: byte offset and struct code of each
