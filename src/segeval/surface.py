@@ -46,6 +46,7 @@ distance over the whole box.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,22 +110,6 @@ class SurfaceDistanceResult:
     space: str
 
 
-def _neighbor_shift(bits: np.ndarray, offset: tuple[int, int, int]) -> np.ndarray:
-    """bits shifted so result[i] = bits[i + offset], False outside the grid."""
-    out = np.zeros_like(bits)
-    src = []
-    dst = []
-    for d, n in zip(offset, bits.shape):
-        if d >= 0:
-            src.append(slice(d, n))
-            dst.append(slice(0, n - d))
-        else:
-            src.append(slice(0, n + d))
-            dst.append(slice(-d, n))
-    out[tuple(dst)] = bits[tuple(src)]
-    return out
-
-
 def extract_surface(
     mask: BinaryMask, space: str = "index", connectivity: int = 6
 ) -> SurfacePointSet:
@@ -139,13 +124,21 @@ def extract_surface(
         raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
     if mask.count == 0:
         raise EmptyMask("cannot extract the surface of an empty mask")
-    interior = mask.bits.copy(order="K")  # keep the layout: mixed layouts run strided
-    for offset in offsets:
-        interior &= _neighbor_shift(mask.bits, offset)
-    # the box edge is exact as "outside": no member lies beyond it
-    indices = np.argwhere(mask.bits & ~interior).astype(np.int64)
-    indices += np.asarray(mask.origin, dtype=np.int64)
-    return SurfacePointSet(indices=indices, space=space, spacing=mask.spacing)
+    bits = mask.bits
+    interior = bits.copy(order="K")  # keep the layout: mixed layouts run strided
+    for offset in offsets:  # interior[i] &= bits[i + offset] for i + offset in the box
+        here = tuple(slice(max(-d, 0), n - max(d, 0)) for d, n in zip(offset, bits.shape))
+        there = tuple(slice(max(d, 0), n + min(d, 0)) for d, n in zip(offset, bits.shape))
+        interior[here] &= bits[there]
+    # the box edge is exact as "outside": no member lies beyond it, and every
+    # face has a neighbor beyond it
+    interior[0] = interior[-1] = interior[:, 0] = interior[:, -1] = False
+    interior[:, :, 0] = interior[:, :, -1] = False
+    np.logical_xor(interior, bits, out=interior)  # the surface: members not interior
+    # one C-order scan gives np.argwhere's order and (n, 3) column-major layout
+    at = np.stack(np.unravel_index(np.flatnonzero(interior), bits.shape)).astype(np.int64)
+    at += np.asarray(mask.origin, dtype=np.int64)[:, None]
+    return SurfacePointSet(indices=at.T, space=space, spacing=mask.spacing)
 
 
 def _window_pass(f: np.ndarray, axis: int, w: int, h2: float) -> np.ndarray:
@@ -207,8 +200,12 @@ def _axis_terms(h2: float, n: int) -> np.ndarray:
     return np.concatenate([[0.0], h2 * k * k])
 
 
-def _offset_levels(h2: tuple[float, float, float]) -> tuple[np.ndarray, list[np.ndarray]]:
+@functools.lru_cache(maxsize=16)
+def _offset_levels(h2: tuple[float, float, float]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Offsets below the first-round bound, grouped by squared length, ascending.
+
+    Built once per exact ``h2`` and shared by later calls, so every array
+    is read-only.
 
     The bound is T = min(h2)·(R+1)² with R = ``_REACH``. A length is summed
     as the window passes sum it, ``(t0 + t1) + t2`` with the terms of
@@ -225,7 +222,10 @@ def _offset_levels(h2: tuple[float, float, float]) -> tuple[np.ndarray, list[np.
     k, value = k[keep], value[keep]
     order = np.argsort(value, kind="stable")
     levels, starts = np.unique(value[order], return_index=True)
-    return levels, np.split(k[order], starts[1:])
+    offsets = tuple(np.split(k[order], starts[1:]))
+    for a in (levels, *offsets):
+        a.flags.writeable = False
+    return levels, offsets
 
 
 def _bruteforce_squared(
@@ -282,9 +282,16 @@ def _nearest_distances(
     h2 = tuple(step * step for step in steps)
     padded = np.zeros(tuple(n + 2 * _REACH for n in dims), dtype=bool)
     grid = padded[_REACH:-_REACH, _REACH:-_REACH, _REACH:-_REACH]
-    grid[sites[:, 0], sites[:, 1], sites[:, 2]] = True
     flat = padded.ravel()
-    strides = np.asarray([padded.shape[1] * padded.shape[2], padded.shape[2], 1])
+    s1 = padded.shape[2]
+    s0 = padded.shape[1] * s1
+    strides = np.asarray([s0, s1, 1])
+
+    def address(p: np.ndarray) -> np.ndarray:
+        """Flat index in ``padded`` of each row of ``p``, one column at a time."""
+        return p[:, 0] * s0 + p[:, 1] * s1 + p[:, 2] + _REACH * (s0 + s1 + 1)
+
+    flat[address(sites)] = True
     out = np.empty(queries.shape[0])
     # a query more than R voxels outside the sites' box on some axis has no
     # offset in the table; it skips the search and stays left over
@@ -292,7 +299,7 @@ def _nearest_distances(
         (queries >= sites.min(axis=0) - _REACH) & (queries <= sites.max(axis=0) + _REACH)
     ).all(axis=1)
     todo = np.flatnonzero(near)
-    at = (queries[todo] + _REACH) @ strides
+    at = address(queries)[todo]
     for value, offsets in zip(*_offset_levels(h2)):
         hit = flat[at[:, None] + offsets @ strides].any(axis=1)
         out[todo[hit]] = value
@@ -395,9 +402,9 @@ def compare_surfaces(
     """
     s_a = extract_surface(mask_a, space=space, connectivity=connectivity)
     s_r = extract_surface(mask_r, space=space, connectivity=connectivity)
-    both = np.vstack([s_a.indices, s_r.indices])
-    lo = both.min(axis=0)
-    dims = tuple(int(n) for n in both.max(axis=0) - lo + 1)
+    lo = np.minimum(s_a.indices.min(axis=0), s_r.indices.min(axis=0))
+    hi = np.maximum(s_a.indices.max(axis=0), s_r.indices.max(axis=0))
+    dims = tuple(int(n) for n in hi - lo + 1)
     if space == "physical":
         steps_a, steps_r = mask_a.spacing, mask_r.spacing
     else:

@@ -48,6 +48,7 @@ a member (``equals:0``, say), the box is the whole chunk.
 from __future__ import annotations
 
 import math
+import re
 import struct
 import threading
 import zlib
@@ -79,9 +80,11 @@ _RAWVOL_DTYPES = {
 }
 _RAWVOL_MAGIC = b"RAWVOL1\n"
 
-_CHUNK_SLABS = 4  # z-slabs per decoded chunk
+_CHUNK_SLABS = 4  # z-slabs per chunk; time changes in the bench flow, not a one-process loop
 _HEADER_BYTES = 4096  # decoded prefix that must hold a rawvol header
 _DRAIN_BYTES = 1 << 20  # largest piece inflated to skip or drop bytes
+_INPUT_BYTES = 1 << 16  # largest piece of compressed input handed to zlib at once
+_NONZERO_BYTE = re.compile(rb"[^\x00]")  # the next gzip member, past zero padding
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +166,10 @@ class _Decoded:
     Plain files are sliced in place. A gzip stream is inflated with
     ``max_length``, so no more is decoded than the reader asks for; members
     follow one another, zero padding between them skipped, as in
-    :func:`gzip.decompress`.
+    :func:`gzip.decompress`. The inflater takes the compressed bytes in
+    pieces of at most ``_INPUT_BYTES``: zlib copies the unconsumed rest of
+    its input on every call, so handing it the whole file would copy the
+    file once per chunk.
     """
 
     def __init__(self, raw: bytes, path: str) -> None:
@@ -171,8 +177,12 @@ class _Decoded:
         self._held = memoryview(raw)  # decoded, not yet read
         self._inflater = None
         if raw[:2] == b"\x1f\x8b":
+            self._raw = self._held
             self._held = memoryview(b"")
-            self._input = raw  # compressed, not yet consumed
+            # compressed bytes handed over and not yet consumed: always
+            # self._raw[self._fed - len(self._input):self._fed]
+            self._input = b""
+            self._fed = 0
             self._inflater = zlib.decompressobj(wbits=31)
 
     def _inflate(self, n: int) -> bytes:
@@ -180,11 +190,16 @@ class _Decoded:
         while True:
             inflater = self._inflater
             if inflater.eof:
-                rest = inflater.unused_data.lstrip(b"\x00")
-                if not rest:
+                # the member's unused input is read again, past any zero padding
+                start = self._fed - len(inflater.unused_data)
+                member = _NONZERO_BYTE.search(self._raw, start)
+                if member is None:
                     return b""
                 inflater = self._inflater = zlib.decompressobj(wbits=31)
-                self._input = rest
+                self._input, self._fed = b"", member.start()
+            if not self._input:
+                self._input = self._raw[self._fed : self._fed + _INPUT_BYTES]
+                self._fed += len(self._input)
             try:
                 out = inflater.decompress(self._input, n)
             except zlib.error as e:
@@ -192,7 +207,7 @@ class _Decoded:
             self._input = inflater.unconsumed_tail
             if out:
                 return out
-            if not self._input and not inflater.eof:
+            if self._fed == len(self._raw) and not self._input and not inflater.eof:
                 raise CorruptFile(
                     f"{self.path}: bad gzip stream (Compressed file ended "
                     "before the end-of-stream marker was reached)"

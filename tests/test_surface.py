@@ -89,20 +89,32 @@ class TestExtractSurface:
             assert set6 <= set26
 
     def test_index_order_is_the_same_for_every_memory_layout(self, rng):
-        for _ in range(10):
-            bits = random_bits(rng, tuple(int(n) for n in rng.integers(1, 9, size=3)), 0.5)
-            # oracle: a voxel is interior when all six neighbors, padded with False, are members
+        around = [off for off in np.ndindex(3, 3, 3) if off != (1, 1, 1)]
+        neighbors = {6: [off for off in around if off.count(1) == 2], 26: around}
+        for trial in range(20):
+            faces = trial % 2 == 1
+            bits = random_bits(
+                rng, tuple(int(n) for n in rng.integers(1, 9, size=3)), 0.9 if faces else 0.5
+            )
+            if faces:  # every voxel on each face of the box is a member
+                bits[0] = bits[-1] = bits[:, 0] = bits[:, -1] = True
+                bits[:, :, 0] = bits[:, :, -1] = True
             padded = np.pad(bits, 1)
             n0, n1, n2 = bits.shape
-            interior = bits.copy()
-            for dx, dy, dz in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)):
-                interior &= padded[1 + dx:1 + dx + n0, 1 + dy:1 + dy + n1, 1 + dz:1 + dz + n2]
-            expected = np.argwhere(bits & ~interior)
             strided = np.zeros((n0, 2 * n1, n2), dtype=bool)
             strided[:, ::2, :] = bits
-            for layout in (bits, np.asfortranarray(bits), strided[:, ::2, :]):
-                got = extract_surface(make_mask(layout)).indices
-                np.testing.assert_array_equal(got, expected)
+            for connectivity, offsets in neighbors.items():
+                # oracle: a voxel is interior when all its neighbors, padded with False, are members
+                interior = bits.copy()
+                for dx, dy, dz in offsets:
+                    interior &= padded[dx:dx + n0, dy:dy + n1, dz:dz + n2]
+                expected = np.argwhere(bits & ~interior)
+                for layout in (bits, np.asfortranarray(bits), strided[:, ::2, :]):
+                    got = extract_surface(make_mask(layout), connectivity=connectivity).indices
+                    np.testing.assert_array_equal(got, expected)
+                    # the column-major int64 layout np.argwhere gives, which the
+                    # nearest-site search reads column by column
+                    assert got.dtype == np.int64 and got.flags.f_contiguous
 
     def test_empty_mask(self):
         with pytest.raises(EmptyMask):
@@ -575,6 +587,27 @@ class TestNearestDistances:
         got = surface._nearest_distances(sites, queries, (9, 9, 9), (1.0, 1.0, 1.0))
         assert got.tolist() == [math.sqrt(24), 5.0, math.sqrt(24), 5.0]
         assert [args[1].tolist() for args in leftovers] == [[[4, 3, 0], [0, 0, 5]]]
+
+    def test_the_offset_table_is_built_once_per_spacing_and_read_only(self, rng):
+        levels, offsets = surface._offset_levels((1.0, 1.0, 1.0))
+        assert surface._offset_levels((1.0, 1.0, 1.0))[0] is levels
+        for array in (levels, *offsets):
+            with pytest.raises(ValueError):
+                array[0] = 7
+        # spacing A, then B, then A again: the second A result is the first
+        dims = (16, 14, 12)
+        a, r = random_bits(rng, dims, 0.3), random_bits(rng, dims, 0.3)
+        results = [
+            compare_surfaces(make_mask(a, spacing), make_mask(r, spacing), space="physical")
+            for spacing in ((0.8, 1.1, 2.5), (1.3, 0.7, 1.0), (0.8, 1.1, 2.5))
+        ]
+        assert results[2] == results[0] != results[1]
+        for connectivity in (6, 26):
+            got = compare_surfaces(make_mask(a), make_mask(r), connectivity=connectivity)
+            want = surface_metrics_bruteforce(
+                *(extract_surface(make_mask(b), connectivity=connectivity) for b in (a, r))
+            )
+            assert got == want
 
     def test_offset_range_differs_per_axis(self, rng):
         steps = (1.2, 1.2, 3.0)

@@ -754,6 +754,33 @@ def test_multi_member_gzip_equals_one_member(tmp_path, writer, members):
     np.testing.assert_array_equal(many.data, one.data)
 
 
+def test_the_inflater_takes_the_compressed_input_in_bounded_pieces(tmp_path, monkeypatch):
+    # noise barely compresses, so each 4-slab chunk needs ~256 KiB of input;
+    # handing zlib the whole rest of the file on every call hands it ~5.5
+    # times the file, as each chunk re-hands all that follows it. Three
+    # members: each next member starts inside a piece.
+    data = np.random.default_rng(0).random((128, 128, 16), dtype=np.float32)
+    path = write_nifti(tmp_path / "noise.nii.gz", data, members=3)
+    handed = []
+    real = zlib.decompressobj
+
+    class Spy:
+        def __init__(self, *args, **kwargs):
+            self._inflater = real(*args, **kwargs)
+
+        def decompress(self, data, max_length=0):
+            handed.append(len(data))
+            return self._inflater.decompress(data, max_length)
+
+        def __getattr__(self, name):
+            return getattr(self._inflater, name)
+
+    monkeypatch.setattr(volume_module.zlib, "decompressobj", Spy)
+    np.testing.assert_array_equal(load_volume(path).data, data)
+    assert max(handed) <= volume_module._INPUT_BYTES
+    assert sum(handed) < 2 * path.stat().st_size
+
+
 def test_zero_padding_between_gzip_members_is_skipped(tmp_path):
     data = _arange_vol((4, 4, 4))
     blob = rawvol_bytes(data)
