@@ -36,7 +36,6 @@ from .reporting import (  # noqa: E402
     ReportBundle,
     anova_for_metric,
     read_metrics_csv,
-    read_volumes_csv,
     write_report_bundle,
 )
 from .stats import (  # noqa: E402
@@ -104,7 +103,6 @@ __all__ = [
     "precision",
     "ravd",
     "read_metrics_csv",
-    "read_volumes_csv",
     "sensitivity",
     "similarity",
     "subgroup_report",

@@ -109,7 +109,7 @@ def _cmd_anova(args: argparse.Namespace) -> int:
 
 def _cmd_subgroup(args: argparse.Namespace) -> int:
     records = read_metrics_csv(args.metrics_csv)
-    report = subgroup_report(records, partition=args.partition)
+    report = subgroup_report(records)
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0
 
@@ -152,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subgroup", help="field-strength comparison from a metrics CSV")
     p.add_argument("metrics_csv")
-    p.add_argument("--partition", default="field_strength")
     p.set_defaults(func=_cmd_subgroup)
 
     return parser

@@ -88,18 +88,21 @@ class EvalConfig:
     threads: int | None = None  # None -> machine parallelism
     default_rule: BinarizeRule = field(default_factory=BinarizeRule.nonzero)
 
+    def settings(self) -> dict:
+        """The fields that can change an output; ``run_manifest.json`` writes them.
+
+        ``threads`` is not one: the worker count must not change any output byte.
+        """
+        return {
+            "space": self.space,
+            "connectivity": self.connectivity,
+            "unit": self.unit,
+            "pooling": self.pooling,
+            "default_rule": str(self.default_rule),
+        }
+
     def config_hash(self) -> str:
-        # threads excluded: the worker count must not change any output byte
-        payload = json.dumps(
-            {
-                "space": self.space,
-                "connectivity": self.connectivity,
-                "unit": self.unit,
-                "pooling": self.pooling,
-                "default_rule": str(self.default_rule),
-            },
-            sort_keys=True,
-        )
+        payload = json.dumps(self.settings(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
     def describe(self) -> str:
@@ -179,9 +182,7 @@ def _normalize_structure(raw: str, row_no: int) -> str:
 
 
 def _normalize_field_strength(raw: str | None, row_no: int) -> str | None:
-    if raw is None:
-        return None
-    text = raw.strip()
+    text = (raw or "").strip()
     if not text:
         return None
     try:
@@ -192,27 +193,28 @@ def _normalize_field_strength(raw: str | None, row_no: int) -> str | None:
         ) from None
 
 
-def _row_to_case(row: dict, row_no: int, base: Path) -> CaseSpec:
+def _row_to_case(row: dict[str, str], row_no: int, base: Path) -> CaseSpec:
+    """One manifest row, its cells as text (a missing cell is absent or None)."""
     for col in _MANIFEST_COLUMNS:
         if col == "structure":
             if row.get(col) is None:
                 raise MalformedRow(f"row {row_no}: missing column 'structure'")
             continue  # blank structure gets the more specific UnknownStructure
-        if row.get(col) is None or not str(row[col]).strip():
+        if row.get(col) is None or not row[col].strip():
             raise MalformedRow(f"row {row_no}: missing column {col!r}")
     label = row.get("label")
     rule = None
-    if label is not None and str(label).strip():
+    if label is not None and label.strip():
         try:
             rule = BinarizeRule.equals(float(label))
         except ValueError:
             raise MalformedRow(f"row {row_no}: label {label!r} is not a number") from None
     return CaseSpec(
-        subject_id=str(row["subject"]).strip(),
-        method=str(row["method"]).strip(),
-        structure=_normalize_structure(str(row["structure"]), row_no),
-        auto_path=str(base / str(row["auto"]).strip()),
-        manual_path=str(base / str(row["manual"]).strip()),
+        subject_id=row["subject"].strip(),
+        method=row["method"].strip(),
+        structure=_normalize_structure(row["structure"], row_no),
+        auto_path=str(base / row["auto"].strip()),
+        manual_path=str(base / row["manual"].strip()),
         field_strength=_normalize_field_strength(row.get("field_strength"), row_no),
         binarize_rule=rule,
     )
@@ -222,7 +224,10 @@ def parse_manifest(path: str | Path) -> list[CaseSpec]:
     """Read a cohort manifest (CSV or JSON-lines) into case specs.
 
     Relative auto/manual paths are resolved against the manifest's
-    directory. The (subject, method, structure) key must be unique.
+    directory. The (subject, method, structure) key must be unique. A
+    JSON-lines value is read as the text a CSV cell would hold: a string
+    as it is, null as a missing cell, any other value as its JSON text
+    (``17`` as ``"17"``, ``true`` as ``"true"``).
     """
     path = Path(path)
     base = path.parent
@@ -238,7 +243,11 @@ def parse_manifest(path: str | Path) -> list[CaseSpec]:
                 raise MalformedRow(f"row {row_no}: invalid JSON ({e.msg})") from None
             if not isinstance(obj, dict):
                 raise MalformedRow(f"row {row_no}: expected a JSON object")
-            rows.append((row_no, obj))
+            rows.append((row_no, {
+                key: value if isinstance(value, str) else json.dumps(value)
+                for key, value in obj.items()
+                if value is not None
+            }))
     else:
         reader = csv.DictReader(text.splitlines())
         if reader.fieldnames is None:
@@ -475,20 +484,16 @@ def evaluate_cohort(
     )
 
 
-def subgroup_report(
-    records: list[MetricRecord], partition: str = "field_strength"
-) -> dict:
+def subgroup_report(records: list[MetricRecord]) -> dict:
     """Per method per metric: summaries per field strength and 3T−1.5T deltas.
 
     Takes ``CohortResult.records`` or the records of a re-read metrics CSV.
     """
-    if partition != "field_strength":
-        raise ValueError(f"unsupported partition {partition!r}")
     tagged = [r for r in records if r.status == "ok" and r.field_strength is not None]
     if not tagged:
         raise EmptySubgroup("no cases carry field_strength")
     methods = sorted({r.method for r in records if r.status == "ok"})
-    report: dict = {"partition": partition, "methods": {}}
+    report: dict = {"partition": "field_strength", "methods": {}}
     for method in methods:
         for fs in FIELD_STRENGTHS:
             if not any(r.method == method and r.field_strength == fs for r in tagged):

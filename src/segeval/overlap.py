@@ -30,18 +30,6 @@ class ConfusionCounts:
     fn: int
     tn: int
 
-    @property
-    def n_auto(self) -> int:
-        return self.tp + self.fp
-
-    @property
-    def n_manual(self) -> int:
-        return self.tp + self.fn
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 @dataclass(frozen=True)
 class VolumePair:

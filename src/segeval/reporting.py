@@ -177,6 +177,10 @@ def read_metrics_csv(path: str | Path) -> list[MetricRecord]:
     records = []
     for row_no, row in enumerate(reader, start=2):
         try:
+            if row["status"] not in ("ok", "error"):
+                raise MalformedCsv(
+                    f"{path}: row {row_no}: status {row['status']!r} is not ok or error"
+                )
             metrics = {
                 m: (float(row[m]) if row[m] != "" else None) for m in METRIC_NAMES
             }
@@ -204,28 +208,6 @@ def read_metrics_csv(path: str | Path) -> list[MetricRecord]:
     return records
 
 
-def read_volumes_csv(path: str | Path) -> list[VolumeRow]:
-    text = Path(path).read_text(encoding="utf-8")
-    reader = csv.DictReader(_data_lines(text))
-    if reader.fieldnames is None or any(
-        c not in reader.fieldnames for c in _VOLUMES_HEADER
-    ):
-        raise MalformedCsv(f"{path}: bad volume table header")
-    rows = []
-    for row in reader:
-        rows.append(
-            VolumeRow(
-                subject=row["subject"],
-                method=row["method"],
-                **{
-                    c: (float(row[c]) if row[c] else None)
-                    for c in _VOLUMES_HEADER[2:]
-                },
-            )
-        )
-    return rows
-
-
 def _anova_groups(
     records: list[MetricRecord], metric: str, pooling: str
 ) -> list[GroupSample]:
@@ -235,6 +217,8 @@ def _anova_groups(
     subject's records, and subjects with any errored record are excluded.
     Methods without values get no group.
     """
+    if pooling not in ("observation", "subject"):
+        raise ValueError(f"unknown pooling {pooling!r}")
     excluded = (
         {r.subject for r in records if r.status == "error"}
         if pooling == "subject"
@@ -339,13 +323,7 @@ def write_report_bundle(
 
     run_manifest = {
         "tool_version": result.provenance.tool_version,
-        "config": {
-            "space": config.space,
-            "connectivity": config.connectivity,
-            "unit": config.unit,
-            "pooling": config.pooling,
-            "default_rule": str(config.default_rule),
-        },
+        "config": config.settings(),
         "config_hash": result.provenance.config_hash,
         "manifest_path": result.provenance.manifest_path,
         "n_cases": result.provenance.n_cases,

@@ -31,8 +31,10 @@ per-file decode, :func:`_decode`, and one error order and crop,
 :func:`_masks`. :func:`load_mask_pair` reads one pair and decodes its two
 files at once, one on a helper thread, as zlib and NumPy release the GIL
 for most of the work. :func:`load_mask_pairs` reads a cohort job's pairs
-one file after the other, since the pool's workers already fill every
-core; pairs that share a file share its decode.
+one file after the other; pairs that share a file share its decode. A
+helper thread there too measured slower: in the benchmark's pool it lost
+``cases_per_s`` in 6 of 6 pairs of runs on a 2-vCPU VM, −10% on
+``mri-hippo`` and −15% on ``mri-large`` (README, "Case pipeline").
 
 A chunk's members are found inside the box of its voxels whose stored bits
 are not all zero, taken with ``max`` reductions over an unsigned view of
@@ -98,7 +100,6 @@ class LabelVolume:
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
     data: np.ndarray
-    source_path: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,7 +326,7 @@ def load_volume(path: str | Path) -> LabelVolume:
     data = np.empty(src.dims, dtype=src.dtype, order="F")
     for z0, values in chunks:
         data[:, :, z0 : z0 + values.shape[2]] = values
-    return LabelVolume(dims=src.dims, spacing=src.spacing, data=data, source_path=src.path)
+    return LabelVolume(dims=src.dims, spacing=src.spacing, data=data)
 
 
 def _check_spacing(spacing: tuple[float, float, float], path: str) -> None:
@@ -613,7 +614,8 @@ def load_mask_pairs(
     Yields, per pair, the masks :func:`load_mask_pair` returns or the
     exception it raises: the automatic file's error first, then the manual
     file's, then the grid check's. Files are decoded one after the other,
-    on the calling thread: a cohort's pool workers already fill every core.
+    on the calling thread: a helper thread per pair measured slower in a
+    cohort's pool (see the module docstring).
     Each (path, rule) is decoded once, and its members, or its error, are
     kept only until the last pair that reads it. Errors carry no traceback,
     nor do the exceptions chained to them: their frames would keep a pair's

@@ -49,7 +49,6 @@ PUBLIC = [
     "precision",
     "ravd",
     "read_metrics_csv",
-    "read_volumes_csv",
     "sensitivity",
     "similarity",
     "subgroup_report",

@@ -15,7 +15,7 @@ import segeval
 from segeval import cohort
 from segeval.cli import build_parser, main
 from segeval.cohort import METRIC_NAMES
-from segeval.reporting import read_metrics_csv, read_volumes_csv
+from segeval.reporting import metrics_csv_text, read_metrics_csv
 
 
 @pytest.fixture
@@ -202,7 +202,8 @@ class TestEvaluateCommand:
         assert main(["evaluate", str(manifest), str(out), "--threads", "1"]) == 0
         records = read_metrics_csv(out / "metrics.csv")
         assert len(records) == 2 * 3 * 2
-        rows = read_volumes_csv(out / "volumes.csv")
+        # the data after the one "# config:" line
+        rows = list(csv.DictReader((out / "volumes.csv").read_text().splitlines()[1:]))
         assert len(rows) == 2 * 3
 
 
@@ -296,6 +297,61 @@ class TestSubgroupCommand:
         assert "EmptySubgroup" in capsys.readouterr().err
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
+    src = str(Path(segeval.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _bad_inputs(root: Path) -> None:
+    """JSON-lines manifests with non-text values, and a metrics CSV with an unknown status."""
+    base = {"subject": "s1", "method": "alpha", "structure": "left",
+            "auto": "a.rawvol", "manual": "m.rawvol"}
+    for name, extra in (("label_list", {"label": [17]}), ("label_true", {"label": True}),
+                        ("field_strength_3", {"field_strength": 3})):
+        (root / f"{name}.jsonl").write_text(json.dumps({**base, **extra}) + "\n")
+    records = [
+        cohort.MetricRecord(
+            subject=f"s{i}", method=method, structure="left_hippocampus",
+            field_strength=("1.5T", "3T")[i % 2], space="index", status="ok",
+            v_auto=1.0, v_manual=1.0,
+            **{m: 0.5 + 0.01 * i + 0.1 * (method == "beta") for m in METRIC_NAMES},
+        )
+        for method in ("alpha", "beta") for i in range(4)
+    ]
+    text = metrics_csv_text(records, cohort.EvalConfig())
+    (root / "status.csv").write_text(text.replace(",index,ok,", ",index,OK,", 2))
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["evaluate", "label_list.jsonl", "out"], 1, "MalformedRow: row 1: label '[17]'"),
+        (["evaluate", "label_true.jsonl", "out"], 1, "MalformedRow: row 1: label 'true'"),
+        (["evaluate", "field_strength_3.jsonl", "out"], 1,
+         "MalformedRow: row 1: field_strength '3'"),
+        (["anova", "status.csv", "dice"], 1, "MalformedCsv:"),
+        (["subgroup", "status.csv"], 1, "MalformedCsv:"),
+        (["subgroup", "status.csv", "--partition", "site"], 2, "unrecognized arguments"),
+        (["anova", "status.csv", "dice", "--pooling", "subjects"], 2, "invalid choice"),
+        (["evaluate", "label_list.jsonl", "out", "--bogus"], 2, "unrecognized arguments"),
+    ],
+    ids=["jsonl_label_list", "jsonl_label_true", "jsonl_field_strength_3", "anova_status",
+         "subgroup_status", "subgroup_partition", "anova_pooling", "evaluate_unknown_flag"],
+)
+def test_bad_input_ends_in_an_exit_code_not_a_traceback(tmp_path, argv, code, message):
+    _bad_inputs(tmp_path)
+    run = subprocess.run(
+        [sys.executable, "-m", "segeval.cli", *argv], cwd=tmp_path, env=_src_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == code, run.stderr
+    assert message in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def test_import_loads_no_third_party_module_but_numpy():
     # the runtime depends on numpy alone; a fresh interpreter shows what the
     # package and its command line pull in
@@ -308,11 +364,9 @@ def test_import_loads_no_third_party_module_but_numpy():
         "          if sys.modules[n] is not main}\n"
         "print(' '.join(sorted(loaded - set(sys.stdlib_module_names))))\n"
     )
-    src = str(Path(segeval.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", probe], env=_src_env(), capture_output=True, text=True,
+        timeout=60,
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["numpy", "segeval"]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -153,15 +154,36 @@ class TestParseManifest:
         rows = [
             {"subject": "s1", "method": "alpha", "structure": "left_hippocampus",
              "auto": "a.nii", "manual": "m.nii", "field_strength": "1.5T"},
-            {"subject": "s2", "method": "alpha", "structure": "right",
-             "auto": "b.nii", "manual": "n.nii"},
+            {"subject": 2, "method": "alpha", "structure": "right",
+             "auto": "b.nii", "manual": "n.nii", "field_strength": None, "label": 17},
         ]
         manifest = tmp_path / "m.jsonl"
         manifest.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         cases = parse_manifest(manifest)
         assert len(cases) == 2
+        assert cases[1].subject_id == "2"
         assert cases[1].structure == "right_hippocampus"
         assert cases[1].field_strength is None
+        assert cases[1].binarize_rule == BinarizeRule.equals(17)
+
+    @pytest.mark.parametrize(
+        "extra, match",
+        [
+            ({"label": [17]}, "label '[17]' is not a number"),
+            ({"label": True}, "label 'true' is not a number"),
+            ({"label": {"value": 17}}, """label '{"value": 17}' is not a number"""),
+            ({"field_strength": 3}, "field_strength '3' not one of"),
+            ({"field_strength": 1.5}, "field_strength '1.5' not one of"),
+        ],
+        ids=["label_list", "label_true", "label_object", "field_strength_3", "field_strength_1.5"],
+    )
+    def test_jsonl_value_read_as_cell_text_is_malformed(self, tmp_path, extra, match):
+        row = {"subject": "s1", "method": "alpha", "structure": "left",
+               "auto": "a.nii", "manual": "m.nii", **extra}
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps(row) + "\n")
+        with pytest.raises(MalformedRow, match=re.escape("row 1: " + match)):
+            parse_manifest(manifest)
 
     def test_missing_header_columns(self, tmp_path):
         manifest = _write_manifest(tmp_path / "m.csv", ["subject,method", "s1,alpha"])

@@ -17,7 +17,13 @@ from segeval.cohort import (
     evaluate_cohort,
     parse_manifest,
 )
-from segeval.reporting import read_metrics_csv, read_volumes_csv, write_report_bundle
+from segeval.errors import MalformedCsv
+from segeval.reporting import (
+    anova_for_metric,
+    metrics_csv_text,
+    read_metrics_csv,
+    write_report_bundle,
+)
 
 ARTIFACTS = ("metrics.csv", "volumes.csv", "anova.csv", "boxplot.json", "scatter.json")
 
@@ -130,6 +136,55 @@ def test_values_equal_at_four_decimals_are_degenerate_in_both_artifacts(tmp_path
     assert _manifest_skipped(tmp_path) == skipped
 
 
+def _two_method_records():
+    return [_record(f"s{i}", method, 0.5 + 0.01 * i + (method == "beta") * 0.1)
+            for method in ("alpha", "beta") for i in range(3)]
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (EvalConfig(), "9545fe7d6fe9"),
+        (EvalConfig(space="physical", connectivity=26, unit="voxels", pooling="subject",
+                    threads=3), "e6987cddb9ac"),
+    ],
+    ids=["default", "all_flags"],
+)
+def test_run_manifest_config_is_the_hashed_dict(tmp_path, config, digest):
+    result = CohortResult(
+        records=_two_method_records(),
+        volume_table=[],
+        provenance=Provenance("0", config.config_hash(), "", 6, 6, 0),
+    )
+    write_report_bundle(result, tmp_path, config)
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["config"] == {
+        "space": config.space,
+        "connectivity": config.connectivity,
+        "unit": config.unit,
+        "pooling": config.pooling,
+        "default_rule": "nonzero",
+    }
+    assert manifest["config_hash"] == config.config_hash() == digest
+
+
+@pytest.mark.parametrize("status", ["OK", "", "failed"])
+def test_metrics_csv_status_other_than_ok_or_error_is_malformed(tmp_path, status):
+    # such a row is neither analysed nor an error, so it would drop out unseen
+    text = metrics_csv_text(_two_method_records(), EvalConfig())
+    lines = text.splitlines()
+    lines[-1] = lines[-1].replace(",index,ok,", f",index,{status},")
+    path = tmp_path / "metrics.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedCsv, match=f"row 7: status '{status}' is not ok or error"):
+        read_metrics_csv(path)
+
+
+def test_unknown_pooling_raises():
+    with pytest.raises(ValueError, match="unknown pooling 'subjects'"):
+        anova_for_metric(_two_method_records(), "dice", pooling="subjects")
+
+
 def _prefix_hash_to_s000(manifest):
     lines = manifest.read_text().splitlines()
     manifest.write_text(
@@ -163,8 +218,10 @@ def test_volumes_csv_keeps_hash_prefixed_subject(tmp_path):
     config = EvalConfig(threads=1)
     result = evaluate_cohort(parse_manifest(manifest), config)
     bundle = write_report_bundle(result, tmp_path / "out", config)
-    rows = read_volumes_csv(bundle.volumes_csv)
-    assert [(r.subject, r.method) for r in rows] == [
+    lines = bundle.volumes_csv.read_text().splitlines()
+    assert lines[0].startswith("# config: ")
+    rows = list(csv.DictReader(lines[1:]))
+    assert [(r["subject"], r["method"]) for r in rows] == [
         (r.subject, r.method) for r in result.volume_table
     ]
-    assert rows[0].subject == "#s000"
+    assert rows[0]["subject"] == "#s000"
