@@ -79,14 +79,37 @@ class CaseSpec:
     binarize_rule: BinarizeRule | None = None
 
 
+_CONFIG_CHOICES = {
+    "space": ("index", "physical"),
+    "connectivity": (6, 26),
+    "unit": ("mm3", "voxels"),
+    "pooling": ("observation", "subject"),
+}
+
+
 @dataclass(frozen=True)
 class EvalConfig:
-    space: str = "index"  # "index" | "physical"
-    connectivity: int = 6  # 6 | 26
-    unit: str = "mm3"  # "mm3" | "voxels"
-    pooling: str = "observation"  # "observation" | "subject"
+    space: str = "index"  # each of these four is one of its _CONFIG_CHOICES
+    connectivity: int = 6
+    unit: str = "mm3"
+    pooling: str = "observation"
     threads: int | None = None  # None -> machine parallelism
     default_rule: BinarizeRule = field(default_factory=BinarizeRule.nonzero)
+
+    def __post_init__(self) -> None:
+        """Reject a field outside its legal values, before any case is decoded."""
+        for name, legal in _CONFIG_CHOICES.items():
+            value = getattr(self, name)
+            # by type too: True == 1 and 6.0 == 6 would change config_hash
+            if not any(type(value) is type(v) and value == v for v in legal):
+                raise ValueError(
+                    f"EvalConfig.{name} {value!r} is not one of "
+                    + ", ".join(repr(v) for v in legal)
+                )
+        if self.threads is not None and (type(self.threads) is not int or self.threads < 1):
+            raise ValueError(f"EvalConfig.threads {self.threads!r} is not None or an int >= 1")
+        if not isinstance(self.default_rule, BinarizeRule):
+            raise ValueError(f"EvalConfig.default_rule {self.default_rule!r} is not a BinarizeRule")
 
     def settings(self) -> dict:
         """The fields that can change an output; ``run_manifest.json`` writes them.
@@ -277,10 +300,9 @@ def compute_record(case: CaseSpec, config: EvalConfig) -> MetricRecord:
     """Compute all nine metrics for one case; raises on any failure.
 
     :func:`~segeval.volume.load_mask_pair` streams both files in z-slab
-    chunks, the manual one on a helper thread that is joined before it
-    returns, and keeps only the masks cropped to the bounding box of their
-    union, so no full-grid array is held. Counts, volumes, surfaces and
-    distances all run on that box.
+    chunks, one after the other, and keeps only the masks cropped to the
+    bounding box of their union, so no full-grid array is held. Counts,
+    volumes, surfaces and distances all run on that box, as in a cohort job.
     """
     rule = case.binarize_rule or config.default_rule
     return _record_from_masks(

@@ -293,7 +293,11 @@ def scatter_payload(result: CohortResult, config: EvalConfig) -> dict:
 def write_report_bundle(
     result: CohortResult, out_dir: str | Path, config: EvalConfig
 ) -> ReportBundle:
-    """Write all six artifacts atomically and return their paths."""
+    """Write all six artifacts atomically and return their paths.
+
+    Every text is rendered before any file is touched, so an error in
+    rendering leaves an earlier bundle in ``out_dir`` as it was.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle = ReportBundle(
@@ -306,8 +310,6 @@ def write_report_bundle(
     )
     started = datetime.now(timezone.utc).isoformat()
 
-    _atomic_write(bundle.metrics_csv, metrics_csv_text(result.records, config))
-
     tables: dict[str, AnovaTable] = {}
     skipped: dict[str, str] = {}
     for metric in METRIC_NAMES:
@@ -315,12 +317,13 @@ def write_report_bundle(
             tables[metric] = anova_for_metric(result.records, metric, config.pooling)
         except StatsError as e:
             skipped[metric] = f"{type(e).__name__}: {e}"
-    _atomic_write(bundle.anova_csv, anova_csv_text(tables, skipped, config))
-
-    _atomic_write(bundle.volumes_csv, volumes_csv_text(result.volume_table, config))
-    _atomic_write(bundle.boxplot_json, _json_dump(boxplot_payload(result, config)))
-    _atomic_write(bundle.scatter_json, _json_dump(scatter_payload(result, config)))
-
+    texts = {
+        bundle.metrics_csv: metrics_csv_text(result.records, config),
+        bundle.anova_csv: anova_csv_text(tables, skipped, config),
+        bundle.volumes_csv: volumes_csv_text(result.volume_table, config),
+        bundle.boxplot_json: _json_dump(boxplot_payload(result, config)),
+        bundle.scatter_json: _json_dump(scatter_payload(result, config)),
+    }
     run_manifest = {
         "tool_version": result.provenance.tool_version,
         "config": config.settings(),
@@ -334,7 +337,14 @@ def write_report_bundle(
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
     }
-    _atomic_write(bundle.run_manifest, _json_dump(run_manifest))
+    manifest_text = _json_dump(run_manifest)
+
+    # the old manifest goes first and the new one comes last, so a directory
+    # holding a run_manifest.json holds that run's whole bundle
+    bundle.run_manifest.unlink(missing_ok=True)
+    for path, text in texts.items():
+        _atomic_write(path, text)
+    _atomic_write(bundle.run_manifest, manifest_text)
     return bundle
 
 

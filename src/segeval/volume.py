@@ -24,17 +24,16 @@ trailer. Multi-member gzip files are read member after member.
 
 The decoder has two consumers. :func:`load_volume` scales every chunk and
 assembles the full grid, which :func:`binarize` turns into a full-grid
-mask. The case pipeline keeps only the box of each chunk's members, and
-assembles both masks of a pair cropped to the bounding box of their union,
-so no full-grid array is ever built. Its two entry points share one
-per-file decode, :func:`_decode`, and one error order and crop,
-:func:`_masks`. :func:`load_mask_pair` reads one pair and decodes its two
-files at once, one on a helper thread, as zlib and NumPy release the GIL
-for most of the work. :func:`load_mask_pairs` reads a cohort job's pairs
-one file after the other; pairs that share a file share its decode. A
-helper thread there too measured slower: in the benchmark's pool it lost
-``cases_per_s`` in 6 of 6 pairs of runs on a 2-vCPU VM, −10% on
-``mri-hippo`` and −15% on ``mri-large`` (README, "Case pipeline").
+mask. The case pipeline, :func:`load_mask_pairs`, keeps only the box of
+each chunk's members, and assembles both masks of a pair cropped to the
+bounding box of their union, so no full-grid array is ever built. It
+decodes one file after the other on the calling thread; pairs that share a
+file share its decode. :func:`load_mask_pair` is its single pair. A helper
+thread that decoded a pair's manual file beside the automatic one made a
+64³ ``compute_record`` twice as slow (~7.6 against ~3.8 ms). On the
+MRI-grid benchmark workloads it saved 6–11% of ``case_ms_p50``, and
+``cases_per_s`` did not gain from it, so one route without a thread
+serves both scales (README, "Case pipeline").
 
 A chunk's members are found inside the box of its voxels whose stored bits
 are not all zero, taken with ``max`` reductions over an unsigned view of
@@ -52,7 +51,6 @@ from __future__ import annotations
 import math
 import re
 import struct
-import threading
 import zlib
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -576,46 +574,26 @@ def load_mask_pair(
 ) -> tuple[BinaryMask, BinaryMask]:
     """Read and binarize a co-registered pair, both cropped to the box around their union.
 
-    Each file is decoded chunk by chunk and validated completely: the
-    manual one on a helper thread while the calling thread decodes the
-    automatic one, since zlib and NumPy release the GIL for most of that
-    work. The helper is joined before the function returns or raises. A
-    pair that reads one file twice decodes it once, on the calling thread.
-    Then the grids are checked (:func:`_masks`), and an error is raised
-    as :func:`load_mask_pairs` yields it: with no traceback from the decode.
-    Only the boxes of each chunk's members are kept, so neither full grid
-    is ever held. Pasted at its ``origin``, each mask equals
-    ``binarize(load_volume(path), rule).bits``, and the box is the bounding
-    box of the union of the two.
+    The single pair of :func:`load_mask_pairs`: its masks, or its error
+    raised, with no traceback from the decode or the grid check. Pasted at
+    its ``origin``, each mask equals ``binarize(load_volume(path), rule).bits``.
     """
-    auto, manual = str(auto_path), str(manual_path)
-    if auto == manual:
-        members_a = members_m = _decode(auto, rule)
-    else:
-        decoded = []
-        helper = threading.Thread(target=lambda: decoded.append(_decode(manual, rule)))
-        helper.start()
-        try:
-            members_a = _decode(auto, rule)
-        finally:
-            helper.join()
-        (members_m,) = decoded
-    try:
-        return _masks(members_a, members_m)
-    except Exception as e:  # noqa: BLE001 - raised as load_mask_pairs yields it
-        raise _bare(e)
+    (item,) = load_mask_pairs([(auto_path, manual_path, rule)])
+    if isinstance(item, Exception):
+        raise item
+    return item
 
 
 def load_mask_pairs(
     pairs: Sequence[tuple[str | Path, str | Path, BinarizeRule]],
 ) -> Iterator[tuple[BinaryMask, BinaryMask] | Exception]:
-    """:func:`load_mask_pair` for each ``(auto_path, manual_path, rule)``, in order.
+    """The masks of each ``(auto_path, manual_path, rule)``, or the pair's error, in order.
 
-    Yields, per pair, the masks :func:`load_mask_pair` returns or the
-    exception it raises: the automatic file's error first, then the manual
-    file's, then the grid check's. Files are decoded one after the other,
-    on the calling thread: a helper thread per pair measured slower in a
-    cohort's pool (see the module docstring).
+    Each file is decoded chunk by chunk on the calling thread and validated
+    completely; only the boxes of each chunk's members are kept, so no full
+    grid is ever held. A pair's two masks are cropped to the bounding box of
+    the union of their members. A pair's error is the automatic file's
+    first, then the manual file's, then the grid check's.
     Each (path, rule) is decoded once, and its members, or its error, are
     kept only until the last pair that reads it. Errors carry no traceback,
     nor do the exceptions chained to them: their frames would keep a pair's
@@ -629,28 +607,17 @@ def load_mask_pairs(
             if key not in held:
                 held[key] = _decode(*key)
         try:
-            item = _masks(held[key_a], held[key_m])
-        except Exception as e:  # noqa: BLE001 - the pair's outcome, as load_mask_pair raises it
+            for key in (key_a, key_m):
+                if isinstance(held[key], Exception):
+                    raise held[key]
+            check_compatible(held[key_a], held[key_m])
+            item = _crop_pair(held[key_a], held[key_m])
+        except Exception as e:  # noqa: BLE001 - the pair's outcome
             item = _bare(e)  # a kept file error too: it is the object raised
         for key in (key_a, key_m):
             if last[key] == i:
                 held.pop(key, None)
         yield item
-
-
-def _masks(
-    members_a: _Members | Exception, members_m: _Members | Exception
-) -> tuple[BinaryMask, BinaryMask]:
-    """A pair's two masks from its files' decodes, or the pair's error.
-
-    The automatic file's error is raised first, then the manual file's,
-    then the grid check's.
-    """
-    for members in (members_a, members_m):
-        if isinstance(members, Exception):
-            raise members
-    check_compatible(members_a, members_m)
-    return _crop_pair(members_a, members_m)
 
 
 def _bare(e: Exception) -> Exception:

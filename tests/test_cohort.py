@@ -239,7 +239,8 @@ class TestEvaluateCohort:
         assert texts[0] == texts[1]
 
     def test_a_pool_forked_after_a_single_case_gives_the_serial_bundle(self, tmp_path):
-        # compute_record decodes on a helper thread; a pool forks this process after it
+        # the workers inherit what a case in this process leaves behind, such as
+        # surface._offset_levels' cached tables; their records must not change
         manifest = build_cohort(tmp_path / "cohort", n_subjects=2)
         cases = parse_manifest(manifest)
         assert compute_record(cases[0], EvalConfig(threads=1)).status == "ok"
@@ -303,6 +304,24 @@ class TestEvaluateCohort:
         )
         with pytest.raises(AllCasesFailed):
             evaluate_cohort(parse_manifest(manifest), EvalConfig(threads=1))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("space", "bogus"), ("connectivity", 7), ("unit", "litres"),
+         ("pooling", "subjects"), ("threads", 0), ("default_rule", "nonzero"),
+         # of the wrong type: 6.0 and True would change config_hash or mean 1
+         ("space", None), ("connectivity", 6.0), ("connectivity", True),
+         ("threads", -3), ("threads", 1.0), ("threads", True)],
+    )
+    def test_a_bad_config_field_is_rejected_before_any_decode(
+        self, tmp_path, monkeypatch, field, value
+    ):
+        cases = parse_manifest(build_cohort(tmp_path, n_subjects=1))
+        decoded = []
+        monkeypatch.setattr(volume_module, "_decode", lambda *key: decoded.append(key))
+        with pytest.raises(ValueError, match=f"EvalConfig.{field} "):
+            evaluate_cohort(cases, EvalConfig(**{"threads": 1, field: value}))
+        assert decoded == []
 
     def test_empty_cases_rejected(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import json
 import pytest
 from helpers import build_cohort
 
+from segeval import reporting
 from segeval.cli import main
 from segeval.cohort import (
     METRIC_NAMES,
@@ -225,3 +226,60 @@ def test_volumes_csv_keeps_hash_prefixed_subject(tmp_path):
         (r.subject, r.method) for r in result.volume_table
     ]
     assert rows[0]["subject"] == "#s000"
+
+
+def _bundle_bytes(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "renderer",
+    ["metrics_csv_text", "anova_csv_text", "volumes_csv_text", "boxplot_payload",
+     "scatter_payload", "_json_dump"],
+)
+def test_a_failed_render_leaves_the_earlier_bundle_untouched(tmp_path, monkeypatch, renderer):
+    manifest = build_cohort(tmp_path / "cohort", n_subjects=2)
+    config = EvalConfig(threads=1)
+    result = evaluate_cohort(parse_manifest(manifest), config)
+    out = tmp_path / "out"
+    write_report_bundle(result, out, EvalConfig(space="physical", threads=1))
+    before = _bundle_bytes(out)
+    assert sorted(before) == sorted(ARTIFACTS + ("run_manifest.json",))
+    real = getattr(reporting, renderer)
+
+    def fail(*args):
+        # _json_dump renders two artifacts first; it fails on the run manifest
+        if renderer != "_json_dump" or "tool_version" in args[0]:
+            raise RuntimeError("render failed")
+        return real(*args)
+
+    monkeypatch.setattr(reporting, renderer, fail)
+    with pytest.raises(RuntimeError, match="render failed"):
+        write_report_bundle(result, out, config)
+    assert _bundle_bytes(out) == before
+
+
+def test_the_run_manifest_is_replaced_around_the_artifacts(tmp_path, monkeypatch):
+    # so a directory holding a run_manifest.json holds that run's whole bundle
+    manifest = build_cohort(tmp_path / "cohort", n_subjects=2)
+    config = EvalConfig(threads=1)
+    result = evaluate_cohort(parse_manifest(manifest), config)
+    out = tmp_path / "out"
+    write_report_bundle(result, out, config)
+    real, written, failing = reporting._atomic_write, [], {"scatter.json"}
+
+    def write(path, data):
+        if path.name in failing:
+            raise OSError("disk full")
+        written.append(path.name)
+        real(path, data)
+
+    monkeypatch.setattr(reporting, "_atomic_write", write)
+    with pytest.raises(OSError, match="disk full"):
+        write_report_bundle(result, out, config)
+    assert not (out / "run_manifest.json").exists()
+    failing.clear()
+    written.clear()
+    write_report_bundle(result, out, config)
+    assert sorted(written) == sorted(ARTIFACTS + ("run_manifest.json",))
+    assert written[-1] == "run_manifest.json"

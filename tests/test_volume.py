@@ -8,7 +8,6 @@ import math
 import struct
 import tempfile
 import threading
-import time
 import traceback
 import tracemalloc
 import warnings
@@ -491,10 +490,10 @@ def test_binarizing_follows_the_structure_not_the_grid(tmp_path):
     manual = _ball_grid(dims, (101, 120, 70), 14)
     a = write_nifti(tmp_path / "a.nii.gz", auto, gzipped=True)
     m = write_nifti(tmp_path / "m.nii.gz", manual, gzipped=True)
-    seen = {}  # the spy's calls, per thread
+    seen = []  # the spy's calls: thread and shape
 
     def spy(data, rule):
-        seen.setdefault(threading.get_ident(), []).append(data.shape)
+        seen.append((threading.get_ident(), data.shape))
         return apply_rule(data, rule)
 
     apply_rule = volume_module._apply_rule
@@ -502,30 +501,23 @@ def test_binarizing_follows_the_structure_not_the_grid(tmp_path):
         masks = load_mask_pair(a, m, BinarizeRule.nonzero())
     assert [mask.count for mask in masks] == [auto.sum(), manual.sum()]
     # per file, one zero-value probe, then each chunk's nonzero box alone;
-    # the calling thread decodes the automatic file, a helper the manual one
+    # the calling thread decodes the automatic file, then the manual one
     slabs = volume_module._CHUNK_SLABS
     probe = [(1, 1, 1)]
-    helper = next(ident for ident in seen if ident != threading.get_ident())
-    assert seen == {
-        threading.get_ident(): probe + _nonzero_boxes(auto, slabs),
-        helper: probe + _nonzero_boxes(manual, slabs),
-    }
+    assert {ident for ident, _ in seen} == {threading.get_ident()}
+    assert [shape for _, shape in seen] == (
+        probe + _nonzero_boxes(auto, slabs) + probe + _nonzero_boxes(manual, slabs)
+    )
 
-    # Beyond what the decoder itself holds while both files are read at
-    # once, only the small boxes may be added. Flags for a whole chunk, as a
-    # full-chunk rule makes, would add one chunk (256 KiB of uint8 voxels);
-    # half of one is the bound. Neither file's full grid is ever held.
-    def read(path):
-        for _chunk in volume_module._VolumeFile(path).chunks():
-            pass
-
+    # Beyond what the decoder itself holds while both files are read one
+    # after the other, only the small boxes may be added. Flags for a whole
+    # chunk, as a full-chunk rule makes, would add one chunk (256 KiB of
+    # uint8 voxels); half of one is the bound. Neither file's full grid is
+    # ever held.
     def decode(auto_path, manual_path):
-        reader = threading.Thread(target=read, args=(manual_path,))
-        reader.start()
-        try:
-            read(auto_path)
-        finally:
-            reader.join()
+        for path in (auto_path, manual_path):
+            for _chunk in volume_module._VolumeFile(path).chunks():
+                pass
 
     chunk_mib = dims[0] * dims[1] * slabs / 2**20
     _, decoder = _peak_mib(decode, a, m)
@@ -620,25 +612,19 @@ def test_a_pair_reading_one_file_decodes_it_once(tmp_path, monkeypatch):
         write_nifti(tmp_path / name, _ball_grid((12, 12, 12), center, 3), gzipped=True)
         for name, center in (("v.nii.gz", (6, 6, 6)), ("w.nii.gz", (5, 6, 6)))
     )
-    opened, started = [], []
-    real_start = threading.Thread.start
+    opened = []
 
     class CountingFile(volume_module._VolumeFile):
         def __init__(self, path):
             opened.append(str(path))
             super().__init__(path)
 
-    def start(self):
-        started.append(self)
-        real_start(self)
-
     monkeypatch.setattr(volume_module, "_VolumeFile", CountingFile)
-    monkeypatch.setattr(threading.Thread, "start", start)
     mask_a, mask_m = load_mask_pair(path, str(path), BinarizeRule.nonzero())
-    assert (opened, started) == ([str(path)], [])
+    assert opened == [str(path)]
     assert mask_a.count == mask_m.count > 0
     load_mask_pair(path, other, BinarizeRule.nonzero())
-    assert (sorted(opened[1:]), len(started)) == ([str(path), str(other)], 1)
+    assert opened[1:] == [str(path), str(other)]
 
 
 def _pair_files(tmp_path, case):
@@ -674,10 +660,8 @@ def _pair_files(tmp_path, case):
 def test_a_failed_pair_raises_what_the_shared_route_yields(tmp_path, case):
     a, m = _pair_files(tmp_path, case)
     rule = BinarizeRule.nonzero()
-    before = threading.active_count()
     with pytest.raises(SegEvalError) as raised:
         load_mask_pair(a, m, rule)
-    assert threading.active_count() == before
     (want,) = load_mask_pairs([(a, m, rule)])
     error = raised.value
     assert (type(error), str(error)) == (type(want), str(want))
@@ -699,26 +683,29 @@ def test_a_failed_pair_raises_what_the_shared_route_yields(tmp_path, case):
     assert all(e.__traceback__ is None for e in chained)
 
 
-def test_a_pair_joins_its_helper_on_return_and_on_interrupt(tmp_path, monkeypatch):
+@pytest.mark.parametrize("loader", ["load_mask_pair", "load_mask_pairs", "evaluate_cohort"])
+@pytest.mark.parametrize("file", ["auto", "manual"])
+def test_an_interrupt_in_a_decode_is_raised_as_itself(tmp_path, monkeypatch, loader, file):
+    # never an error item, nor an error record
     a, m = _pair_files(tmp_path, "clean")
     rule = BinarizeRule.nonzero()
-    before = threading.active_count()
-    load_mask_pair(a, m, rule)
-    assert threading.active_count() == before
-    real, decoded = volume_module._decode, []
+    real, interrupt = volume_module._members, {"auto": a, "manual": m}[file]
 
-    def decode(path, rule):
-        if path == str(a):
-            raise KeyboardInterrupt
-        time.sleep(0.05)  # the helper is still at work when the interrupt is raised
-        decoded.append(real(path, rule))
-        return decoded[-1]
+    def members(src, rule):  # called inside _decode's guard
+        if src.path == str(interrupt):
+            raise KeyboardInterrupt("stop")
+        return real(src, rule)
 
-    monkeypatch.setattr(volume_module, "_decode", decode)
-    with pytest.raises(KeyboardInterrupt):
-        load_mask_pair(a, m, rule)
-    assert threading.active_count() == before
-    assert len(decoded) == 1  # the helper ran to its end before the raise left
+    monkeypatch.setattr(volume_module, "_members", members)
+    with pytest.raises(KeyboardInterrupt, match="stop"):
+        if loader == "load_mask_pair":
+            load_mask_pair(a, m, rule)
+        elif loader == "load_mask_pairs":
+            list(load_mask_pairs([(a, a, rule), (a, m, rule)]))
+        else:
+            cases = [CaseSpec("s", "x", "left", str(a), str(a)),
+                     CaseSpec("s", "y", "left", str(a), str(m))]
+            cohort_module.evaluate_cohort(cases, EvalConfig(threads=1))
 
 
 def _corrupt_crc(blob: bytes) -> bytes:
