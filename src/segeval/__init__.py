@@ -14,7 +14,6 @@ from .cohort import (  # noqa: E402
     CohortResult,
     EvalConfig,
     MetricRecord,
-    VolumeRow,
     compute_record,
     evaluate_cohort,
     parse_manifest,
@@ -82,7 +81,6 @@ __all__ = [
     "SurfaceDistanceResult",
     "SurfacePointSet",
     "VolumePair",
-    "VolumeRow",
     "anova_for_metric",
     "betainc_regularized",
     "binarize",

@@ -93,10 +93,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     cases = parse_manifest(args.manifest)
     result = evaluate_cohort(cases, config, manifest_path=args.manifest)
     bundle = write_report_bundle(result, args.out_dir, config)
-    print(
-        f"{result.provenance.n_ok}/{result.provenance.n_cases} cases ok; "
-        f"wrote {bundle.metrics_csv.parent}"
-    )
+    n_ok = sum(r.status == "ok" for r in result.records)
+    print(f"{n_ok}/{len(result.records)} cases ok; wrote {bundle.metrics_csv.parent}")
     return 0
 
 

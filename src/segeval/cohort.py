@@ -4,9 +4,11 @@ Cases are independent by construction. They are evaluated in parallel,
 in jobs of cases that share files, so each file is decoded once per job.
 Per-case failures degrade to error-status records so a long batch never
 dies on one bad file, nor on one worker the OS kills. Records keep
-manifest order and the volume table uses lexicographic order, so repeated
-runs are byte-identical regardless of the worker count. The ANOVA over methods is
-computed from the records by :mod:`segeval.reporting`, in one place.
+manifest order, so repeated runs are byte-identical regardless of the
+worker count. A :class:`CohortResult` is the records and the config they
+were computed under; every aggregate (counts, the volume table, the
+subjects excluded under subject pooling, the ANOVA over methods) is
+derived from them by :mod:`segeval.reporting`, in one place.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
-from . import __version__
 from .errors import (
     AllCasesFailed,
     DuplicateCase,
@@ -33,7 +34,6 @@ from .overlap import (
     VolumePair,
     confusion_counts,
     dice,
-    normalized_volume_difference,
     precision,
     ravd,
     sensitivity,
@@ -166,35 +166,12 @@ class MetricRecord:
 
 
 @dataclass(frozen=True)
-class VolumeRow:
-    """One subject × method row of the left/right volume table."""
-
-    subject: str
-    method: str
-    left_auto: float | None = None
-    left_manual: float | None = None
-    left_norm_diff: float | None = None
-    right_auto: float | None = None
-    right_manual: float | None = None
-    right_norm_diff: float | None = None
-
-
-@dataclass(frozen=True)
-class Provenance:
-    tool_version: str
-    config_hash: str
-    manifest_path: str
-    n_cases: int
-    n_ok: int
-    n_error: int
-    excluded_subjects: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class CohortResult:
+    """A cohort's records, in manifest order, and the config they were computed under."""
+
     records: list[MetricRecord]
-    volume_table: list[VolumeRow]
-    provenance: Provenance
+    config: EvalConfig
+    manifest_path: str = ""
 
 
 def _normalize_structure(raw: str, row_no: int) -> str:
@@ -434,29 +411,10 @@ def _pool_records(
     return done
 
 
-def _volume_rows(records: list[MetricRecord]) -> list[VolumeRow]:
-    cells: dict[tuple[str, str], dict] = {}
-    for r in records:
-        if r.status != "ok" or r.structure not in (LEFT, RIGHT):
-            continue
-        side = "left" if r.structure == LEFT else "right"
-        entry = cells.setdefault((r.subject, r.method), {})
-        entry[f"{side}_auto"] = r.v_auto
-        entry[f"{side}_manual"] = r.v_manual
-        if r.v_manual and r.v_manual > 0:
-            entry[f"{side}_norm_diff"] = normalized_volume_difference(
-                VolumePair(r.v_auto, r.v_manual, "n/a")
-            )
-    return [
-        VolumeRow(subject=subject, method=method, **entry)
-        for (subject, method), entry in sorted(cells.items())
-    ]
-
-
 def evaluate_cohort(
     cases: list[CaseSpec], config: EvalConfig, manifest_path: str = ""
 ) -> CohortResult:
-    """Evaluate every case (in parallel) and assemble the volume table.
+    """Evaluate every case, in parallel, into its record.
 
     Cases run in jobs (:func:`_jobs`): each job decodes each file it reads
     once per binarize rule, and a case's record is the one
@@ -465,8 +423,7 @@ def evaluate_cohort(
     over the workers; one worker runs them in process. A case whose worker
     dies in its job, in that job's rerun and then alone, gets an error
     record (``BrokenProcessPool: ...``; see :func:`_pool_records`). Records
-    keep manifest order. Under subject pooling, subjects with any errored
-    case are listed in the provenance as excluded.
+    keep manifest order. Raises :class:`AllCasesFailed` if no case is ok.
     """
     if not cases:
         raise ValueError("cohort has no cases")
@@ -482,28 +439,9 @@ def evaluate_cohort(
         for i, record in zip(job, job_records):
             records[i] = record
 
-    n_ok = sum(1 for r in records if r.status == "ok")
-    if n_ok == 0:
+    if all(r.status == "error" for r in records):
         raise AllCasesFailed(f"all {len(records)} cases errored")
-
-    excluded: set[str] = set()
-    if config.pooling == "subject":
-        excluded = {r.subject for r in records if r.status == "error"}
-
-    provenance = Provenance(
-        tool_version=__version__,
-        config_hash=config.config_hash(),
-        manifest_path=str(manifest_path),
-        n_cases=len(records),
-        n_ok=n_ok,
-        n_error=len(records) - n_ok,
-        excluded_subjects=tuple(sorted(excluded)),
-    )
-    return CohortResult(
-        records=records,
-        volume_table=_volume_rows(records),
-        provenance=provenance,
-    )
+    return CohortResult(records, config, str(manifest_path))
 
 
 def subgroup_report(records: list[MetricRecord]) -> dict:

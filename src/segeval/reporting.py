@@ -1,5 +1,10 @@
 """Serialization of cohort results: CSV tables and JSON series.
 
+Every aggregate is derived here, from a cohort's records and the config
+they were computed under: the case counts, the left/right volume table,
+the subjects excluded under subject pooling (:func:`_excluded_subjects`),
+the ANOVA tables and the summaries.
+
 Formatting is fixed and locale-free (RFC-4180 commas, "." decimal point,
 distances/ratios/volumes at 4 decimals, p-values as 2-decimal-mantissa
 scientific notation). Every artifact names the run configuration in a
@@ -25,12 +30,14 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import __version__
 from .cohort import (
+    LEFT,
     METRIC_NAMES,
+    RIGHT,
     CohortResult,
     EvalConfig,
     MetricRecord,
-    VolumeRow,
 )
 from .errors import MalformedCsv, StatsError, UnknownMetric
 from .stats import AnovaTable, GroupSample, group_summary, one_way_anova
@@ -106,22 +113,24 @@ def metrics_csv_text(records: list[MetricRecord], config: EvalConfig) -> str:
     return buf.getvalue()
 
 
-def volumes_csv_text(rows: list[VolumeRow], config: EvalConfig) -> str:
+def volumes_csv_text(records: list[MetricRecord], config: EvalConfig) -> str:
+    """Per (subject, method), in lexicographic order, each side's automatic and
+    manual volume and |RAVD| from its ok record; a side without one is blank.
+    """
+    sides = {LEFT: 0, RIGHT: 3}
+    rows: dict[tuple[str, str], list[float | None]] = {}
+    for r in records:
+        if r.status == "ok" and r.structure in sides:
+            k = sides[r.structure]
+            rows.setdefault((r.subject, r.method), [None] * 6)[k : k + 3] = (
+                r.v_auto, r.v_manual, abs(r.ravd),
+            )
     buf = io.StringIO()
     buf.write(f"# config: {config.describe()}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_VOLUMES_HEADER)
-    for row in rows:
-        writer.writerow(
-            [row.subject, row.method]
-            + [
-                _fmt(v)
-                for v in (
-                    row.left_auto, row.left_manual, row.left_norm_diff,
-                    row.right_auto, row.right_manual, row.right_norm_diff,
-                )
-            ]
-        )
+    for key in sorted(rows):
+        writer.writerow(list(key) + [_fmt(v) for v in rows[key]])
     return buf.getvalue()
 
 
@@ -208,22 +217,26 @@ def read_metrics_csv(path: str | Path) -> list[MetricRecord]:
     return records
 
 
+def _excluded_subjects(records: list[MetricRecord], pooling: str) -> set[str]:
+    """The subjects the ANOVA leaves out: under subject pooling, those with an
+    errored record, whose mean would miss a case; none under observation pooling.
+    """
+    if pooling not in ("observation", "subject"):
+        raise ValueError(f"unknown pooling {pooling!r}")
+    errored = {r.subject for r in records if r.status == "error"}
+    return errored if pooling == "subject" else set()
+
+
 def _anova_groups(
     records: list[MetricRecord], metric: str, pooling: str
 ) -> list[GroupSample]:
     """One sample per method, in lexicographic order, of 4-dp values.
 
     Only ok records count. Under subject pooling each value is the mean of a
-    subject's records, and subjects with any errored record are excluded.
+    subject's records, over the subjects :func:`_excluded_subjects` keeps.
     Methods without values get no group.
     """
-    if pooling not in ("observation", "subject"):
-        raise ValueError(f"unknown pooling {pooling!r}")
-    excluded = (
-        {r.subject for r in records if r.status == "error"}
-        if pooling == "subject"
-        else set()
-    )
+    excluded = _excluded_subjects(records, pooling)
     groups = []
     for method in sorted({r.method for r in records}):
         ok = [r for r in records if r.status == "ok" and r.method == method]
@@ -255,10 +268,10 @@ def anova_for_metric(
     return one_way_anova(_anova_groups(records, metric, pooling))
 
 
-def boxplot_payload(result: CohortResult, config: EvalConfig) -> dict:
+def boxplot_payload(records: list[MetricRecord], config: EvalConfig) -> dict:
     """Five-number summaries + n/mean per (metric, method): the data behind boxplots."""
     series: dict[str, dict[str, dict]] = {}
-    ok = [r for r in result.records if r.status == "ok"]
+    ok = [r for r in records if r.status == "ok"]
     methods = sorted({r.method for r in ok})
     for metric in METRIC_NAMES:
         series[metric] = {}
@@ -272,10 +285,10 @@ def boxplot_payload(result: CohortResult, config: EvalConfig) -> dict:
     return {"config": config.describe(), "series": series}
 
 
-def scatter_payload(result: CohortResult, config: EvalConfig) -> dict:
+def scatter_payload(records: list[MetricRecord], config: EvalConfig) -> dict:
     """Per-case values per (metric, method), in manifest order."""
     series: dict[str, dict[str, list]] = {metric: {} for metric in METRIC_NAMES}
-    for r in result.records:
+    for r in records:
         if r.status != "ok":
             continue
         for metric in METRIC_NAMES:
@@ -295,9 +308,16 @@ def write_report_bundle(
 ) -> ReportBundle:
     """Write all six artifacts atomically and return their paths.
 
-    Every text is rendered before any file is touched, so an error in
-    rendering leaves an earlier bundle in ``out_dir`` as it was.
+    ``config`` must have the settings ``result.config`` has (``threads`` may
+    differ), or a ``ValueError`` is raised: a bundle names one config, the
+    one its records were computed under. Every text is rendered before any
+    file is touched, so an error in rendering leaves an earlier bundle in
+    ``out_dir`` as it was.
     """
+    if config.settings() != result.config.settings():
+        raise ValueError(f"bundle config {config.describe()} is not the config the "
+                         f"records were computed under, {result.config.describe()}")
+    records = result.records
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle = ReportBundle(
@@ -314,25 +334,26 @@ def write_report_bundle(
     skipped: dict[str, str] = {}
     for metric in METRIC_NAMES:
         try:
-            tables[metric] = anova_for_metric(result.records, metric, config.pooling)
+            tables[metric] = anova_for_metric(records, metric, config.pooling)
         except StatsError as e:
             skipped[metric] = f"{type(e).__name__}: {e}"
     texts = {
-        bundle.metrics_csv: metrics_csv_text(result.records, config),
+        bundle.metrics_csv: metrics_csv_text(records, config),
         bundle.anova_csv: anova_csv_text(tables, skipped, config),
-        bundle.volumes_csv: volumes_csv_text(result.volume_table, config),
-        bundle.boxplot_json: _json_dump(boxplot_payload(result, config)),
-        bundle.scatter_json: _json_dump(scatter_payload(result, config)),
+        bundle.volumes_csv: volumes_csv_text(records, config),
+        bundle.boxplot_json: _json_dump(boxplot_payload(records, config)),
+        bundle.scatter_json: _json_dump(scatter_payload(records, config)),
     }
+    n_ok = sum(r.status == "ok" for r in records)
     run_manifest = {
-        "tool_version": result.provenance.tool_version,
+        "tool_version": __version__,
         "config": config.settings(),
-        "config_hash": result.provenance.config_hash,
-        "manifest_path": result.provenance.manifest_path,
-        "n_cases": result.provenance.n_cases,
-        "n_ok": result.provenance.n_ok,
-        "n_error": result.provenance.n_error,
-        "excluded_subjects": list(result.provenance.excluded_subjects),
+        "config_hash": config.config_hash(),
+        "manifest_path": result.manifest_path,
+        "n_cases": len(records),
+        "n_ok": n_ok,
+        "n_error": len(records) - n_ok,
+        "excluded_subjects": sorted(_excluded_subjects(records, config.pooling)),
         "anova_skipped": skipped,
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),

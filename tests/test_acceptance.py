@@ -16,6 +16,7 @@ import csv
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,9 +296,9 @@ def test_criterion_10_robustness_to_one_corrupt_file(tmp_path):
         clean_rows = metrics_csv_text(clean.records, config).splitlines()
 
         victim_index = 7
-        victim = cases[victim_index].auto_path
-        blob = open(victim, "rb").read()
-        open(victim, "wb").write(blob[: len(blob) // 3])
+        victim = Path(cases[victim_index].auto_path)
+        blob = victim.read_bytes()
+        victim.write_bytes(blob[: len(blob) // 3])
 
         dirty = evaluate_cohort(cases, config)
         dirty_rows = metrics_csv_text(dirty.records, config).splitlines()

@@ -28,7 +28,6 @@ PUBLIC = [
     "SurfaceDistanceResult",
     "SurfacePointSet",
     "VolumePair",
-    "VolumeRow",
     "anova_for_metric",
     "betainc_regularized",
     "binarize",

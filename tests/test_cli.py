@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import csv
+import gzip
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import build_cohort, sphere_bits, write_nifti, write_rawvol
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import segeval
 from segeval import cohort
@@ -370,3 +375,115 @@ def test_import_loads_no_third_party_module_but_numpy():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["numpy", "segeval"]
+
+
+# --- end to end: damaged cohorts ----------------------------------------------
+
+_MUTATIONS = ("truncate", "flip_header", "corrupt_gzip", "dims", "nan_slope")
+
+# rows appended to a manifest; each makes it malformed
+_BAD_ROWS = (
+    "s009,alpha,left,{auto}\n",  # too few cells
+    "s009,alpha,left,{auto},{manual},2T,\n",
+    "s009,alpha,left,{auto},{manual},,seventeen\n",
+    "{first}\n",  # a second row for the first row's case
+    "s009,alpha, ,{auto},{manual},,\n",
+)
+
+
+def _mutate(path: Path, kind: str, where: int, xor: int) -> None:
+    """Damage one gzipped rawvol file as ``kind`` names; ``where`` and ``xor`` pick the byte."""
+    blob = path.read_bytes()
+    if kind == "truncate":
+        path.write_bytes(blob[: where % len(blob)])
+    elif kind == "flip_header":
+        raw = gzip.decompress(blob)
+        i = where % raw.index(b"end\n")
+        path.write_bytes(gzip.compress(raw[:i] + bytes([raw[i] ^ xor]) + raw[i + 1 :]))
+    elif kind == "corrupt_gzip":
+        i = 10 + where % (len(blob) - 18)  # in the deflate data, between header and trailer
+        path.write_bytes(blob[:i] + bytes([blob[i] ^ xor]) + blob[i + 1 :])
+    elif kind == "dims":
+        write_rawvol(path, np.ones((16, 16, 17), np.uint8), gzipped=True)
+    else:
+        write_nifti(path, np.ones((16, 16, 16), np.uint8), scl_slope=float("nan"), gzipped=True)
+
+
+def _evaluate_in_subprocess(manifest: Path, out: Path, threads: int):
+    return subprocess.run(
+        [sys.executable, "-m", "segeval.cli", "evaluate", str(manifest), str(out),
+         "--threads", str(threads)],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+
+
+def _bundle(out: Path) -> dict:
+    """Every file of a bundle; the run manifest without its timestamps."""
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    run_manifest = json.loads(files.pop("run_manifest.json"))
+    del run_manifest["started"], run_manifest["finished"]
+    return {**files, "run_manifest.json": run_manifest}
+
+
+@pytest.fixture(scope="module")
+def clean_cohort(tmp_path_factory):
+    root = tmp_path_factory.mktemp("clean")
+    manifest = build_cohort(root / "cohort", n_subjects=2)
+    run = _evaluate_in_subprocess(manifest, root / "out", 1)
+    assert run.returncode == 0, run.stderr
+    return root
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    damage=st.lists(
+        st.tuples(st.integers(0, 15), st.sampled_from(_MUTATIONS),
+                  st.integers(0, 2**16), st.integers(1, 255)),
+        max_size=3, unique_by=lambda d: d[0],
+    ),
+    bad_row=st.none() | st.sampled_from(_BAD_ROWS),
+)
+def test_a_damaged_cohort_ends_in_an_exit_code_and_a_whole_or_untouched_bundle(
+    clean_cohort, damage, bad_row
+):
+    # every input ends in metrics or in a typed error: the exit code is 0-3 with
+    # no traceback, an undamaged case keeps the clean run's row, the bundle does
+    # not depend on --threads, and a failed run leaves the earlier bundle as it was
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        shutil.copytree(clean_cohort / "cohort", root / "cohort")
+        manifest = root / "cohort" / "manifest.csv"
+        header, *rows = manifest.read_text().splitlines()
+        files = sorted(p.name for p in (root / "cohort").glob("*.rawvol.gz"))
+        for index, kind, where, xor in damage:
+            _mutate(root / "cohort" / files[index], kind, where, xor)
+        if bad_row is not None:
+            first = rows[0].split(",")
+            with manifest.open("a") as fh:
+                fh.write(bad_row.format(auto=first[3], manual=first[4], first=rows[0]))
+
+        before = _bundle(clean_cohort / "out")
+        runs, bundles = [], []
+        for threads in (1, 2):
+            out = root / f"out{threads}"
+            shutil.copytree(clean_cohort / "out", out)
+            runs.append(_evaluate_in_subprocess(manifest, out, threads))
+            bundles.append(_bundle(out))
+
+    for run in runs:
+        assert run.returncode in (0, 1, 2, 3), run.stderr
+        assert "Traceback" not in run.stderr
+    # a malformed row fails the manifest; otherwise at most three of the
+    # sixteen files are damaged, so some case stays whole and the run succeeds
+    assert [run.returncode for run in runs] == [0 if bad_row is None else 1] * 2
+    if bad_row is not None:
+        assert bundles[0] == bundles[1] == before
+        return
+    assert bundles[0] == bundles[1]
+    damaged = {files[index] for index, *_ in damage}
+    clean_rows = before["metrics.csv"].decode().splitlines()
+    for i, (row, line) in enumerate(zip(rows, bundles[0]["metrics.csv"].decode().splitlines()[2:])):
+        auto, manual = row.split(",")[3:5]
+        if not {auto, manual} & damaged:
+            assert line == clean_rows[i + 2]

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import csv
 import importlib
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,9 +263,7 @@ class TestEvaluateCohort:
         cases = parse_manifest(manifest)
         config = EvalConfig(threads=1)
         clean = evaluate_cohort(cases, config).records
-        victim = cases[3].auto_path
-        blob = open(victim, "rb").read()
-        open(victim, "wb").write(blob[: len(blob) // 2])
+        _truncate(cases[3].auto_path)
         dirty = evaluate_cohort(cases, config).records
         assert dirty[3].status == "error"
         assert "CorruptFile" in dirty[3].error
@@ -338,21 +338,25 @@ class TestEvaluateCohort:
 
     def test_volume_table_shape(self, tmp_path):
         manifest = build_cohort(tmp_path, n_subjects=2)
-        result = evaluate_cohort(parse_manifest(manifest), EvalConfig(threads=1))
-        assert len(result.volume_table) == 2 * 3  # subjects x methods
-        row = result.volume_table[0]
-        assert row.left_auto is not None
-        assert row.right_auto is not None
-        assert row.left_norm_diff == pytest.approx(
-            abs(row.left_auto - row.left_manual) / row.left_manual
-        )
-        subjects_methods = [(r.subject, r.method) for r in result.volume_table]
+        config = EvalConfig(threads=1)
+        result = evaluate_cohort(parse_manifest(manifest), config)
+        bundle = write_report_bundle(result, tmp_path / "out", config)
+        rows = list(csv.DictReader(bundle.volumes_csv.read_text().splitlines()[1:]))
+        assert len(rows) == 2 * 3  # subjects x methods
+        for row in rows:
+            for side in ("left", "right"):
+                auto, manual, norm_diff = (
+                    float(row[f"{side}_{col}"]) for col in ("auto", "manual", "norm_diff")
+                )
+                # each value is printed at 4 decimals
+                assert norm_diff == pytest.approx(abs(auto - manual) / manual, abs=1e-4)
+        subjects_methods = [(r["subject"], r["method"]) for r in rows]
         assert subjects_methods == sorted(subjects_methods)
 
 
 def _truncate(path):
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[: len(blob) // 2])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[: len(blob) // 2])
 
 
 class TestJobs:
@@ -435,7 +439,7 @@ class TestJobs:
         _truncate(cases[0].manual_path)
         # s000 right: a truncated manual, and gamma's auto is no volume at all
         _truncate(cases[3].manual_path)
-        open(cases[5].auto_path, "wb").write(b"not a volume")
+        Path(cases[5].auto_path).write_bytes(b"not a volume")
         # s001 left: beta's auto lies on another grid
         write_rawvol(cases[7].auto_path, np.ones((16, 16, 17), np.uint8), gzipped=True)
         dirty = evaluate_cohort(cases, config).records

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from helpers import build_cohort
@@ -14,11 +15,11 @@ from segeval.cohort import (
     CohortResult,
     EvalConfig,
     MetricRecord,
-    Provenance,
     evaluate_cohort,
     parse_manifest,
 )
 from segeval.errors import MalformedCsv
+from segeval.volume import BinarizeRule
 from segeval.reporting import (
     anova_for_metric,
     metrics_csv_text,
@@ -125,12 +126,7 @@ def test_values_equal_at_four_decimals_are_degenerate_in_both_artifacts(tmp_path
         _record("s2", "beta", 0.50004),
     ]
     config = EvalConfig()
-    result = CohortResult(
-        records=records,
-        volume_table=[],
-        provenance=Provenance("0", config.config_hash(), "", 4, 4, 0),
-    )
-    bundle = write_report_bundle(result, tmp_path, config)
+    bundle = write_report_bundle(CohortResult(records, config), tmp_path, config)
     skipped = _skipped_lines(bundle.anova_csv)
     assert set(skipped) == set(METRIC_NAMES)
     assert all(v.startswith("DegenerateData: within-group") for v in skipped.values())
@@ -152,12 +148,7 @@ def _two_method_records():
     ids=["default", "all_flags"],
 )
 def test_run_manifest_config_is_the_hashed_dict(tmp_path, config, digest):
-    result = CohortResult(
-        records=_two_method_records(),
-        volume_table=[],
-        provenance=Provenance("0", config.config_hash(), "", 6, 6, 0),
-    )
-    write_report_bundle(result, tmp_path, config)
+    write_report_bundle(CohortResult(_two_method_records(), config), tmp_path, config)
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert manifest["config"] == {
         "space": config.space,
@@ -167,6 +158,9 @@ def test_run_manifest_config_is_the_hashed_dict(tmp_path, config, digest):
         "default_rule": "nonzero",
     }
     assert manifest["config_hash"] == config.config_hash() == digest
+    for name in ("metrics.csv", "volumes.csv", "anova.csv"):
+        first = (tmp_path / name).read_text().splitlines()[0]
+        assert first.startswith("# config: ") and first.endswith(f" hash={digest}")
 
 
 @pytest.mark.parametrize("status", ["OK", "", "failed"])
@@ -222,9 +216,9 @@ def test_volumes_csv_keeps_hash_prefixed_subject(tmp_path):
     lines = bundle.volumes_csv.read_text().splitlines()
     assert lines[0].startswith("# config: ")
     rows = list(csv.DictReader(lines[1:]))
-    assert [(r["subject"], r["method"]) for r in rows] == [
-        (r.subject, r.method) for r in result.volume_table
-    ]
+    assert [(r["subject"], r["method"]) for r in rows] == sorted(
+        {(r.subject, r.method) for r in result.records}
+    )
     assert rows[0]["subject"] == "#s000"
 
 
@@ -238,12 +232,13 @@ def _bundle_bytes(out):
      "scatter_payload", "_json_dump"],
 )
 def test_a_failed_render_leaves_the_earlier_bundle_untouched(tmp_path, monkeypatch, renderer):
-    manifest = build_cohort(tmp_path / "cohort", n_subjects=2)
-    config = EvalConfig(threads=1)
-    result = evaluate_cohort(parse_manifest(manifest), config)
+    cases = parse_manifest(build_cohort(tmp_path / "cohort", n_subjects=2))
     out = tmp_path / "out"
-    write_report_bundle(result, out, EvalConfig(space="physical", threads=1))
+    physical = EvalConfig(space="physical", threads=1)
+    write_report_bundle(evaluate_cohort(cases, physical), out, physical)
     before = _bundle_bytes(out)
+    config = EvalConfig(threads=1)
+    result = evaluate_cohort(cases, config)
     assert sorted(before) == sorted(ARTIFACTS + ("run_manifest.json",))
     real = getattr(reporting, renderer)
 
@@ -283,3 +278,60 @@ def test_the_run_manifest_is_replaced_around_the_artifacts(tmp_path, monkeypatch
     write_report_bundle(result, out, config)
     assert sorted(written) == sorted(ARTIFACTS + ("run_manifest.json",))
     assert written[-1] == "run_manifest.json"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("space", "physical"), ("connectivity", 26), ("unit", "voxels"),
+     ("pooling", "subject"), ("default_rule", BinarizeRule.equals(1.0))],
+    ids=["space", "connectivity", "unit", "pooling", "default_rule"],
+)
+def test_a_bundle_config_other_than_the_records_is_rejected_untouched(tmp_path, field, value):
+    # the records were computed under one config; a bundle naming another
+    # would print one config's numbers under the other's header and hash
+    cases = parse_manifest(build_cohort(tmp_path / "cohort", n_subjects=2))
+    config = EvalConfig(threads=1)
+    result = evaluate_cohort(cases, config)
+    out = tmp_path / "out"
+    write_report_bundle(result, out, config)
+    before = _bundle_bytes(out)
+    other = EvalConfig(**{"threads": 1, field: value})
+    for target in (out, tmp_path / "fresh"):
+        with pytest.raises(ValueError, match="is not the config the records were computed under"):
+            write_report_bundle(result, target, other)
+    assert _bundle_bytes(out) == before
+    assert not (tmp_path / "fresh").exists()
+
+
+def test_a_bundle_config_differing_only_in_threads_is_accepted(tmp_path):
+    cases = parse_manifest(build_cohort(tmp_path / "cohort", n_subjects=2))
+    result = evaluate_cohort(cases, EvalConfig(threads=1))
+    write_report_bundle(result, tmp_path / "a", EvalConfig(threads=1))
+    write_report_bundle(result, tmp_path / "b", EvalConfig(threads=4))
+    write_report_bundle(result, tmp_path / "c", EvalConfig())
+    a = _bundle_bytes(tmp_path / "a")
+    for other in ("b", "c"):
+        b = _bundle_bytes(tmp_path / other)
+        assert {k: a[k] for k in ARTIFACTS} == {k: b[k] for k in ARTIFACTS}
+
+
+@pytest.mark.parametrize("pooling", ["subject", "observation"])
+def test_a_subject_with_an_errored_case_is_excluded_under_subject_pooling(tmp_path, pooling):
+    n_subjects, n_methods = 3, 3
+    cases = parse_manifest(build_cohort(tmp_path / "cohort", n_subjects=n_subjects))
+    victim = next(c for c in cases if c.subject_id == "s001")
+    blob = Path(victim.auto_path).read_bytes()
+    Path(victim.auto_path).write_bytes(blob[: len(blob) // 2])
+    config = EvalConfig(pooling=pooling, threads=1)
+    result = evaluate_cohort(cases, config)
+    assert [r.subject for r in result.records if r.status == "error"] == ["s001"]
+    out = tmp_path / "out"
+    write_report_bundle(result, out, config)
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    total_df = int(_anova_rows(out / "anova.csv")[("dice", "Total")]["df"])
+    if pooling == "subject":
+        assert manifest["excluded_subjects"] == ["s001"]
+        assert total_df == (n_subjects - 1) * n_methods - 1
+    else:
+        assert manifest["excluded_subjects"] == []
+        assert total_df == (len(cases) - 1) - 1  # every case but the errored one
