@@ -277,9 +277,9 @@ def compute_record(case: CaseSpec, config: EvalConfig) -> MetricRecord:
     """Compute all nine metrics for one case; raises on any failure.
 
     :func:`~segeval.volume.load_mask_pair` streams both files in z-slab
-    chunks, one after the other, and keeps only the masks cropped to the
-    bounding box of their union, so no full-grid array is held. Counts,
-    volumes, surfaces and distances all run on that box, as in a cohort job.
+    chunks, one after the other, and keeps each mask on the bounding box of
+    its own members, so no full-grid array is held. Counts, volumes,
+    surfaces and distances all run on those boxes, as in a cohort job.
     """
     rule = case.binarize_rule or config.default_rule
     return _record_from_masks(

@@ -43,18 +43,20 @@ class VolumePair:
 def confusion_counts(a: BinaryMask, m: BinaryMask) -> ConfusionCounts:
     """Tally TP = |A∩M|, FP = |A∖M|, FN = |M∖A|, TN = remainder.
 
-    Both masks must cover the same box: the full grid (:func:`binarize`) or
-    the pair's union box (:func:`load_mask_pair`, :func:`load_mask_pairs`). TN
-    comes from the full grid size, so full-grid and cropped pairs give the
-    same tallies.
+    Each mask may cover any box of the common grid: the full grid
+    (:func:`binarize`) or its own members' box (:func:`load_mask_pair`,
+    :func:`load_mask_pairs`). TP is counted where the two boxes overlap,
+    and is 0 where they do not; TN comes from the full grid size, so every
+    placement of the same members gives the same tallies.
     """
     check_compatible(a, m)
-    if a.origin != m.origin or a.bits.shape != m.bits.shape:
-        raise ValueError(
-            f"masks cover different boxes: {a.bits.shape} at {a.origin} "
-            f"vs {m.bits.shape} at {m.origin}"
-        )
-    tp = int(np.count_nonzero(a.bits & m.bits))
+    ends = ([o + n for o, n in zip(k.origin, k.bits.shape)] for k in (a, m))
+    lo = list(map(max, a.origin, m.origin))
+    hi = list(map(max, lo, map(min, *ends)))  # hi = lo on an axis where the boxes part
+    a_in, m_in = (
+        k.bits[tuple(slice(l - o, h - o) for l, h, o in zip(lo, hi, k.origin))] for k in (a, m)
+    )
+    tp = int(np.count_nonzero(a_in & m_in))
     fp = a.count - tp
     fn = m.count - tp
     total = a.dims[0] * a.dims[1] * a.dims[2]

@@ -25,15 +25,10 @@ trailer. Multi-member gzip files are read member after member.
 The decoder has two consumers. :func:`load_volume` scales every chunk and
 assembles the full grid, which :func:`binarize` turns into a full-grid
 mask. The case pipeline, :func:`load_mask_pairs`, keeps only the box of
-each chunk's members, and assembles both masks of a pair cropped to the
-bounding box of their union, so no full-grid array is ever built. It
-decodes one file after the other on the calling thread; pairs that share a
-file share its decode. :func:`load_mask_pair` is its single pair. A helper
-thread that decoded a pair's manual file beside the automatic one made a
-64³ ``compute_record`` twice as slow (~7.6 against ~3.8 ms). On the
-MRI-grid benchmark workloads it saved 6–11% of ``case_ms_p50``, and
-``cases_per_s`` did not gain from it, so one route without a thread
-serves both scales (README, "Case pipeline").
+each chunk's members and assembles each file's mask on the bounding box
+of its own members, so no full-grid array is ever built. It decodes one
+file after the other on the calling thread; pairs that share a file share
+its mask. :func:`load_mask_pair` is its single pair.
 
 A chunk's members are found inside the box of its voxels whose stored bits
 are not all zero, taken with ``max`` reductions over an unsigned view of
@@ -79,6 +74,7 @@ _RAWVOL_DTYPES = {
     "float64": np.float64,
 }
 _RAWVOL_MAGIC = b"RAWVOL1\n"
+_RULE_KINDS = ("equals", "greater_than", "nonzero")
 
 _CHUNK_SLABS = 4  # z-slabs per chunk; time changes in the bench flow, not a one-process loop
 _HEADER_BYTES = 4096  # decoded prefix that must hold a rawvol header
@@ -105,8 +101,9 @@ class BinaryMask:
     """Membership flags on the grid of the volume it was derived from.
 
     ``bits`` covers either the whole grid (:func:`binarize`) or a box of it
-    whose lowest corner sits at ``origin`` (:func:`load_mask_pair`,
-    :func:`load_mask_pairs`); voxels outside the box are non-members.
+    whose lowest corner sits at ``origin``: the bounding box of the mask's
+    own members (:func:`load_mask_pair`, :func:`load_mask_pairs`), empty at
+    ``(0, 0, 0)`` when it has none. Voxels outside the box are non-members.
     ``dims`` is always the full grid. ``count`` is computed once, so
     ``bits`` must not change after construction; all three functions hand
     out read-only arrays.
@@ -126,16 +123,29 @@ class BinaryMask:
 class BinarizeRule:
     """Rule mapping scalar voxel values to membership flags.
 
-    A NaN value is rejected: no voxel equals it or lies above it. Infinite
-    values are legal, as float volumes may hold infinite voxels.
+    ``kind`` is one of ``_RULE_KINDS``. A ``nonzero`` rule has no value; the
+    others need a float. A NaN value is rejected: no voxel equals it or lies
+    above it. Infinite values are legal, as float volumes may hold infinite
+    voxels.
     """
 
     kind: str  # "equals" | "greater_than" | "nonzero"
     value: float | None = None
 
     def __post_init__(self) -> None:
-        if self.value is not None and math.isnan(self.value):
-            raise ValueError(f"{self.kind} rule value must not be NaN")
+        """Reject an unknown kind or a value it cannot take, before any file is decoded."""
+        if self.kind not in _RULE_KINDS:
+            raise ValueError(
+                f"BinarizeRule.kind {self.kind!r} is not one of "
+                + ", ".join(repr(k) for k in _RULE_KINDS)
+            )
+        if self.kind == "nonzero":
+            if self.value is not None:
+                raise ValueError(f"BinarizeRule.value {self.value!r} must be None for nonzero")
+        elif not isinstance(self.value, float) or math.isnan(self.value):
+            raise ValueError(
+                f"BinarizeRule.value {self.value!r} must be a non-NaN float for {self.kind}"
+            )
 
     @classmethod
     def equals(cls, value: float) -> "BinarizeRule":
@@ -447,9 +457,7 @@ def _apply_rule(data: np.ndarray, rule: BinarizeRule) -> np.ndarray:
         return np.equal(data, rule.value, signature=_FLOAT64_COMPARE)
     if rule.kind == "greater_than":
         return np.greater(data, rule.value, signature=_FLOAT64_COMPARE)
-    if rule.kind == "nonzero":
-        return data != 0
-    raise ValueError(f"unknown binarization rule kind {rule.kind!r}")
+    return data != 0  # nonzero
 
 
 def binarize(vol: LabelVolume, rule: BinarizeRule) -> BinaryMask:
@@ -460,19 +468,6 @@ def binarize(vol: LabelVolume, rule: BinarizeRule) -> BinaryMask:
     bits = _apply_rule(vol.data, rule)
     bits.flags.writeable = False
     return BinaryMask(dims=vol.dims, spacing=vol.spacing, bits=bits)
-
-
-@dataclass(frozen=True, eq=False)
-class _Members:
-    """The members of one binarized volume, as boxes of flags.
-
-    Each piece is ``(corner, bits)``: a box holding every member of one
-    z-chunk, and the box's lowest corner in the grid.
-    """
-
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
-    pieces: list[tuple[tuple[int, int, int], np.ndarray]]
 
 
 def _nonzero_box(stored: np.ndarray) -> tuple[slice, slice, slice] | None:
@@ -492,13 +487,14 @@ def _nonzero_box(stored: np.ndarray) -> tuple[slice, slice, slice] | None:
     return tuple(slice(int(h[0]), int(h[-1]) + 1) for h in (xs, ys, zs))
 
 
-def _members(src: _VolumeFile, rule: BinarizeRule) -> _Members:
-    """The members of the file ``src``, read chunk by chunk.
+def _members(src: _VolumeFile, rule: BinarizeRule) -> BinaryMask:
+    """The mask of the file ``src`` on the bounding box of its members, read chunk by chunk.
 
     Per chunk, only the box of voxels with a nonzero stored bit is passed
     through :meth:`_VolumeFile.values` and the rule, unless the zero value
     is itself a member; then the box is the whole chunk. The members' box
-    within it is kept.
+    within it is kept, and the kept boxes are pasted into the box around
+    them all. A file without members gets an empty box at the grid corner.
     """
     pieces = []
     zero_member = None
@@ -510,7 +506,15 @@ def _members(src: _VolumeFile, rule: BinarizeRule) -> _Members:
         del stored  # freed before the next chunk is inflated
         if piece is not None:
             pieces.append(piece)
-    return _Members(src.dims, src.spacing, pieces)
+    origin = end = (0, 0, 0)
+    if pieces:
+        origin = tuple(min(c[i] for c, _ in pieces) for i in range(3))
+        end = tuple(max(c[i] + bits.shape[i] for c, bits in pieces) for i in range(3))
+    box = np.zeros(tuple(e - o for e, o in zip(end, origin)), dtype=bool)
+    for corner, bits in pieces:
+        box[tuple(slice(c - o, c - o + n) for c, o, n in zip(corner, origin, bits.shape))] = bits
+    box.flags.writeable = False
+    return BinaryMask(src.dims, src.spacing, box, origin)
 
 
 def _chunk_members(
@@ -535,34 +539,8 @@ def _chunk_members(
     return (x, y, z0 + z), bits[tuple(tight)].copy()
 
 
-def _crop_pair(a: _Members, m: _Members) -> tuple[BinaryMask, BinaryMask]:
-    """Both masks on the bounding box of their union; both-empty pairs get an empty box.
-
-    The crop is exact without padding: no member of either mask lies outside
-    the box, and the grid edge already counts as "outside" for surfaces.
-    The masks keep the full ``dims``, so TN still counts the whole grid.
-    """
-    pieces = a.pieces + m.pieces
-    origin = end = (0, 0, 0)
-    if pieces:
-        origin = tuple(min(c[i] for c, _ in pieces) for i in range(3))
-        end = tuple(max(c[i] + bits.shape[i] for c, bits in pieces) for i in range(3))
-    shape = tuple(e - o for e, o in zip(end, origin))
-    masks = []
-    for members in (a, m):
-        crop = np.zeros(shape, dtype=bool)
-        for corner, bits in members.pieces:
-            at = tuple(
-                slice(c - o, c - o + n) for c, o, n in zip(corner, origin, bits.shape)
-            )
-            crop[at] = bits
-        crop.flags.writeable = False
-        masks.append(BinaryMask(members.dims, members.spacing, crop, origin))
-    return masks[0], masks[1]
-
-
-def _decode(path: str, rule: BinarizeRule) -> _Members | Exception:
-    """The members of the file at ``path`` under ``rule``, or the error its decode raised."""
+def _decode(path: str, rule: BinarizeRule) -> BinaryMask | Exception:
+    """The mask of the file at ``path`` under ``rule``, or the error its decode raised."""
     try:
         return _members(_VolumeFile(path), rule)
     except Exception as e:  # noqa: BLE001 - the file's outcome, raised by each pair reading it
@@ -572,7 +550,7 @@ def _decode(path: str, rule: BinarizeRule) -> _Members | Exception:
 def load_mask_pair(
     auto_path: str | Path, manual_path: str | Path, rule: BinarizeRule
 ) -> tuple[BinaryMask, BinaryMask]:
-    """Read and binarize a co-registered pair, both cropped to the box around their union.
+    """Read and binarize a co-registered pair, each mask on the box around its own members.
 
     The single pair of :func:`load_mask_pairs`: its masks, or its error
     raised, with no traceback from the decode or the grid check. Pasted at
@@ -591,33 +569,40 @@ def load_mask_pairs(
 
     Each file is decoded chunk by chunk on the calling thread and validated
     completely; only the boxes of each chunk's members are kept, so no full
-    grid is ever held. A pair's two masks are cropped to the bounding box of
-    the union of their members. A pair's error is the automatic file's
-    first, then the manual file's, then the grid check's.
-    Each (path, rule) is decoded once, and its members, or its error, are
-    kept only until the last pair that reads it. Errors carry no traceback,
-    nor do the exceptions chained to them: their frames would keep a pair's
-    members and a failed decoder's bytes alive for as long as the error is.
+    grid is ever held. Each mask covers the bounding box of its own file's
+    members. A pair's error is the automatic file's first, then the manual
+    file's, then the grid check's.
+    Each (path, rule) is decoded once into one read-only mask, which every
+    pair reading it gets; the mask, or the file's error, is kept only until
+    the last pair that reads it. Errors carry no traceback, nor do the
+    exceptions chained to them: their frames would keep a pair's masks and
+    a failed decoder's bytes alive for as long as the error is.
     """
     keys = [((str(a), rule), (str(m), rule)) for a, m, rule in pairs]
     last = {key: i for i, pair in enumerate(keys) for key in pair}
-    held: dict[tuple[str, BinarizeRule], _Members | Exception] = {}
-    for i, (key_a, key_m) in enumerate(keys):
-        for key in (key_a, key_m):
+    held: dict[tuple[str, BinarizeRule], BinaryMask | Exception] = {}
+    for i, pair in enumerate(keys):
+        for key in pair:
             if key not in held:
                 held[key] = _decode(*key)
-        try:
-            for key in (key_a, key_m):
-                if isinstance(held[key], Exception):
-                    raise held[key]
-            check_compatible(held[key_a], held[key_m])
-            item = _crop_pair(held[key_a], held[key_m])
-        except Exception as e:  # noqa: BLE001 - the pair's outcome
-            item = _bare(e)  # a kept file error too: it is the object raised
-        for key in (key_a, key_m):
-            if last[key] == i:
-                held.pop(key, None)
-        yield item
+        # handed out by a call, so this suspended frame holds no mask
+        yield _take_pair(held, pair, [key for key in pair if last[key] == i])
+
+
+def _take_pair(held: dict, pair: tuple, done: list) -> tuple[BinaryMask, BinaryMask] | Exception:
+    """The masks ``held`` under the two keys of ``pair``, or the pair's error;
+    the keys in ``done`` are then dropped from ``held``."""
+    try:
+        for key in pair:
+            if isinstance(held[key], Exception):
+                raise held[key]
+        item = held[pair[0]], held[pair[1]]
+        check_compatible(*item)
+    except Exception as e:  # noqa: BLE001 - the pair's outcome
+        item = _bare(e)  # a kept file error too: it is the object raised
+    for key in done:
+        held.pop(key, None)
+    return item
 
 
 def _bare(e: Exception) -> Exception:
@@ -629,9 +614,7 @@ def _bare(e: Exception) -> Exception:
     return e
 
 
-def check_compatible(
-    a: BinaryMask | LabelVolume | _Members, m: BinaryMask | LabelVolume | _Members
-) -> None:
+def check_compatible(a: BinaryMask | LabelVolume, m: BinaryMask | LabelVolume) -> None:
     """Verify the two masks (or volumes) live on the same grid.
 
     Dims must match exactly; per-axis spacing must agree within a relative

@@ -130,25 +130,32 @@ def embed(mask: BinaryMask) -> np.ndarray:
 
 def loaded_pair(root: Path, auto: np.ndarray, manual: np.ndarray, rule: BinarizeRule,
                 spacing=(1.0, 1.0, 1.0)) -> tuple[tuple[BinaryMask, BinaryMask], list[BinaryMask]]:
-    """The cropped masks ``load_mask_pair`` reads from the two arrays written as
+    """The masks ``load_mask_pair`` reads from the two arrays written as
     rawvol files, and ``binarize(load_volume(path), rule)`` of each file.
 
-    Checks the cropped masks against the full-grid ones on the way: each one
-    embedded at its origin equals its full-grid flags, and the box is the
-    bounding box of the union of those flags.
+    Checks the loaded masks against the full-grid ones on the way: each one
+    embedded at its origin equals its full-grid flags, and its box is the
+    bounding box of those flags alone.
     """
     paths = [write_rawvol(Path(root) / f"{role}.rawvol", data, spacing)
              for role, data in (("auto", auto), ("manual", manual))]
-    cropped = load_mask_pair(*paths, rule)
+    loaded = load_mask_pair(*paths, rule)
     full = [binarize(load_volume(path), rule) for path in paths]
-    hits = np.argwhere(full[0].bits | full[1].bits)
-    lo, hi = (hits.min(axis=0), hits.max(axis=0) + 1) if len(hits) else ((0, 0, 0),) * 2
-    for crop, whole in zip(cropped, full):
-        assert (crop.dims, crop.spacing) == (whole.dims, whole.spacing)
-        assert crop.origin == tuple(int(n) for n in lo)
-        assert crop.bits.shape == tuple(int(h - l) for h, l in zip(hi, lo))
-        np.testing.assert_array_equal(embed(crop), whole.bits, strict=True)
-    return cropped, full
+    for mask, whole in zip(loaded, full):
+        assert (mask.dims, mask.spacing) == (whole.dims, whole.spacing)
+        assert (mask.origin, mask.bits.shape) == member_box(whole.bits)
+        np.testing.assert_array_equal(embed(mask), whole.bits, strict=True)
+    return loaded, full
+
+
+def member_box(bits: np.ndarray) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """Origin and shape of the bounding box of the set flags; an empty box
+    at the grid corner if none is set."""
+    hits = np.argwhere(bits)
+    if not len(hits):
+        return (0, 0, 0), (0, 0, 0)
+    lo, hi = hits.min(axis=0), hits.max(axis=0) + 1
+    return tuple(int(n) for n in lo), tuple(int(n) for n in hi - lo)
 
 
 def random_bits(rng: np.random.Generator, dims, p: float = 0.2,

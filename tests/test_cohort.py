@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import importlib
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -321,6 +322,21 @@ class TestEvaluateCohort:
         monkeypatch.setattr(volume_module, "_decode", lambda *key: decoded.append(key))
         with pytest.raises(ValueError, match=f"EvalConfig.{field} "):
             evaluate_cohort(cases, EvalConfig(**{"threads": 1, field: value}))
+        assert decoded == []
+
+    @pytest.mark.parametrize(
+        "kind, value, field",
+        [("bogus", 1.0, "kind"), ("equals", None, "value"), ("greater_than", math.nan, "value"),
+         ("equals", "17", "value"), ("nonzero", 0.0, "value")],
+    )
+    def test_a_bad_rule_is_rejected_before_any_decode(
+        self, tmp_path, monkeypatch, kind, value, field
+    ):
+        cases = parse_manifest(build_cohort(tmp_path, n_subjects=1))
+        decoded = []
+        monkeypatch.setattr(volume_module, "_decode", lambda *key: decoded.append(key))
+        with pytest.raises(ValueError, match=f"BinarizeRule.{field} "):
+            evaluate_cohort(cases, EvalConfig(threads=1, default_rule=BinarizeRule(kind, value)))
         assert decoded == []
 
     def test_empty_cases_rejected(self):

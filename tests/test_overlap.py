@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from helpers import enumerate_confusion, loaded_pair, make_mask, random_bits
-from hypothesis import given
+from helpers import embed, enumerate_confusion, loaded_pair, make_mask, random_bits
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from segeval.errors import (
@@ -24,7 +26,7 @@ from segeval.overlap import (
     similarity,
     volume,
 )
-from segeval.volume import BinarizeRule
+from segeval.volume import BinarizeRule, BinaryMask
 
 counts_nonempty = st.tuples(
     st.integers(0, 500), st.integers(0, 500), st.integers(0, 500), st.integers(0, 500)
@@ -80,6 +82,21 @@ def _sparse_bits(rng, dims=(12, 11, 10)):
     return bits
 
 
+@st.composite
+def _masks_on_boxes(draw):
+    """Two masks of one grid, each on a box of its own: any origin, any
+    shape that fits, the empty box too, any flags inside."""
+    dims = draw(st.tuples(*[st.integers(1, 6)] * 3))
+    masks = []
+    for _ in range(2):
+        lo = [draw(st.integers(0, n)) for n in dims]
+        shape = tuple(draw(st.integers(0, n - l)) for l, n in zip(lo, dims))
+        flags = draw(st.lists(st.booleans(), min_size=math.prod(shape), max_size=math.prod(shape)))
+        bits = np.array(flags, dtype=bool).reshape(shape)
+        masks.append(BinaryMask(dims, (1.0, 1.0, 1.0), bits, tuple(lo)))
+    return masks
+
+
 class TestCroppedMasks:
     def test_counts_and_volumes_match_the_full_grid(self, rng, tmp_path):
         spacing = (0.781, 0.781, 2.0)
@@ -95,13 +112,15 @@ class TestCroppedMasks:
                 assert volume(crop_a, unit) == volume(full_a, unit)
                 assert volume(crop_m, unit) == volume(full_m, unit)
 
-    def test_masks_on_different_boxes_are_refused(self, rng, tmp_path):
-        a, m = _sparse_bits(rng), _sparse_bits(rng)
-        (full_a, _), (crop_a, crop_m) = _full_and_cropped(tmp_path, a, m)
-        with pytest.raises(ValueError, match="different boxes"):
-            confusion_counts(crop_a, make_mask(m))
-        with pytest.raises(ValueError, match="different boxes"):
-            confusion_counts(full_a, crop_m)
+    @given(_masks_on_boxes())
+    @example([  # apart on x by a gap shorter than the far box's own length
+        BinaryMask((6, 1, 1), (1.0, 1.0, 1.0), np.ones((1, 1, 1), bool), (0, 0, 0)),
+        BinaryMask((6, 1, 1), (1.0, 1.0, 1.0), np.ones((4, 1, 1), bool), (2, 0, 0)),
+    ])
+    def test_masks_on_any_two_boxes_count_as_on_the_full_grid(self, masks):
+        # the boxes overlap, nest, touch or lie apart
+        c = confusion_counts(*masks)
+        assert (c.tp, c.fp, c.fn, c.tn) == enumerate_confusion(*map(embed, masks))
 
     def test_empty_pairs_raise_as_on_the_full_grid(self, tmp_path):
         manual = np.zeros((8, 8, 8), dtype=bool)

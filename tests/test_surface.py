@@ -316,7 +316,8 @@ def _mri_island_pair(spacing):
     auto island voxel at (250, 250, 165) that stretches the surfaces' box to
     205×205×125 voxels.
 
-    The masks hold only that box, as :func:`load_mask_pair` crops them.
+    Both masks hold that box; :func:`compare_surfaces` works on the box of
+    both surfaces, whatever boxes the masks cover.
     """
     origin = (46, 46, 41)
     box = (205, 205, 125)

@@ -24,6 +24,7 @@ from helpers import (
     gzip_members,
     loaded_pair,
     make_volume,
+    member_box,
     nifti_bytes,
     rawvol_bytes,
     sphere_bits,
@@ -292,18 +293,19 @@ class TestBinarize:
 class TestBinarizePair:
     """A pair read by :func:`load_mask_pair`, against ``binarize`` of each full grid."""
 
-    def test_crops_to_union_bounding_box(self, tmp_path):
+    def test_each_mask_covers_its_own_members_box(self, tmp_path):
         a = np.zeros((10, 9, 8), dtype=np.uint8)
         m = np.zeros((10, 9, 8), dtype=np.uint8)
         a[2, 3, 4] = 1
         m[5, 1, 6] = 1
         m[4, 7, 5] = 1
         (mask_a, mask_m), _ = loaded_pair(tmp_path, a, m, BinarizeRule.nonzero())
-        for mask, full in ((mask_a, a), (mask_m, m)):
+        for mask, full, origin, shape in ((mask_a, a, (2, 3, 4), (1, 1, 1)),
+                                          (mask_m, m, (4, 1, 5), (2, 7, 2))):
             assert mask.dims == (10, 9, 8)
-            assert mask.origin == (2, 1, 4)
-            assert mask.bits.shape == (4, 7, 3)
-            np.testing.assert_array_equal(mask.bits, full[2:6, 1:8, 4:7] != 0)
+            assert (mask.origin, mask.bits.shape) == (origin, shape)
+            box = tuple(slice(o, o + n) for o, n in zip(origin, shape))
+            np.testing.assert_array_equal(mask.bits, full[box] != 0)
 
     def test_both_empty_gives_an_empty_box(self, tmp_path):
         zeros = np.zeros((4, 4, 4), dtype=np.uint8)
@@ -317,9 +319,9 @@ class TestBinarizePair:
         a = np.array([[[0, 17, 53, 17]]], dtype=np.int32)
         m = np.array([[[17, 53, 0, 0]]], dtype=np.int32)
         (mask_a, mask_m), _ = loaded_pair(tmp_path, a, m, BinarizeRule.equals(17))
-        assert mask_a.origin == (0, 0, 0)
-        np.testing.assert_array_equal(mask_a.bits, [[[False, True, False, True]]])
-        np.testing.assert_array_equal(mask_m.bits, [[[True, False, False, False]]])
+        assert (mask_a.origin, mask_m.origin) == ((0, 0, 1), (0, 0, 0))
+        np.testing.assert_array_equal(mask_a.bits, [[[True, False, True]]])
+        np.testing.assert_array_equal(mask_m.bits, [[[True]]])
 
     def test_grid_mismatch_checked_on_the_volumes(self, tmp_path):
         a = write_rawvol(tmp_path / "a.rawvol", np.ones((4, 4, 4)))
@@ -572,37 +574,51 @@ def test_shared_pairs_drop_each_file_after_its_last_use(tmp_path, manual):
 
     def spy(src, *args):
         opened[Path(src.path).stem] = weakref.ref(src)
-        members = real(src, *args)
-        decoded[Path(src.path).stem] = weakref.ref(members)
-        return members
+        mask = real(src, *args)
+        decoded[Path(src.path).stem] = weakref.ref(mask)
+        return mask
 
     def live(refs):
         return sorted(name for name, ref in refs.items() if ref() is not None)
 
+    def keep(item):
+        """What is compared of a yielded item: its error, or copies of its masks'
+        boxes, so that no check below sees a mask the test holds."""
+        if isinstance(item, Exception):
+            return item
+        return [(mask.origin, mask.bits.copy()) for mask in item]
+
     got = []
     with mock.patch.object(volume_module, "_members", spy):
         shared = load_mask_pairs(pairs)
-        got.append(next(shared))
-        # the shared manual's members, or its error, outlive the first pair
+        item = next(shared)
+        first_m = None if isinstance(item, Exception) else weakref.ref(item[1])
+        got.append(keep(item))
+        del item
+        # the shared manual's mask, or its error, outlives the first pair
         assert live(decoded) == (["m"] if manual == "clean" else [])
         assert live(opened) == []
-        got.append(next(shared))
+        item = next(shared)
+        if first_m is not None:  # the pairs reading m share one mask object
+            assert item[1] is first_m()
+        got.append(keep(item))
+        del item
         assert (sorted(decoded), live(decoded), live(opened)) == (
             ["a1", "a2", "m"] if manual == "clean" else ["a1", "a2"], [], []
         )
-        got.append(next(shared))
+        got.append(keep(next(shared)))
         assert (live(decoded), live(opened)) == ([], [])
         assert next(shared, None) is None
-    for masks, pair in zip(got, pairs):
-        if isinstance(masks, Exception):
+    for kept, pair in zip(got, pairs):
+        if isinstance(kept, Exception):
             with pytest.raises(CorruptFile) as raised:
                 load_mask_pair(*pair)
-            assert (type(masks), str(masks)) == (CorruptFile, str(raised.value))
+            assert (type(kept), str(kept)) == (CorruptFile, str(raised.value))
             continue
-        for mask, want in zip(masks, load_mask_pair(*pair)):
-            assert mask.origin == want.origin
-            assert np.array_equal(mask.bits, want.bits)
-    assert [isinstance(m, Exception) for m in got] == (
+        for (origin, bits), want in zip(kept, load_mask_pair(*pair)):
+            assert origin == want.origin
+            assert np.array_equal(bits, want.bits)
+    assert [isinstance(kept, Exception) for kept in got] == (
         [False] * 3 if manual == "clean" else [True, True, False]
     )
 
@@ -902,15 +918,12 @@ def test_streamed_pair_equals_the_full_grid_route(example):
             return
 
         # the rule on every voxel of each fully loaded grid, and the box of
-        # their union, with no box code in between
+        # each one's members, with no box code in between
         vols = [load_volume(path) for path in (a, m)]
         want_bits = [binarize(vol, rule).bits for vol in vols]
-        hits = np.argwhere(want_bits[0] | want_bits[1])
-        origin, end = (hits.min(axis=0), hits.max(axis=0) + 1) if len(hits) else ([0] * 3,) * 2
         for mask, vol, bits in zip(load_mask_pair(a, m, rule), vols, want_bits):
             assert (mask.dims, mask.spacing) == (vol.dims, vol.spacing)
-            assert mask.origin == tuple(int(o) for o in origin)
-            assert mask.bits.shape == tuple(int(e - o) for e, o in zip(end, origin))
+            assert (mask.origin, mask.bits.shape) == member_box(bits)
             assert mask.bits.dtype == bool and mask.bits.flags.c_contiguous
             assert not mask.bits.flags.writeable
             np.testing.assert_array_equal(embed(mask), bits, strict=True)
