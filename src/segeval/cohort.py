@@ -341,14 +341,18 @@ def _evaluate_job(cases: list[CaseSpec], config: EvalConfig) -> list[MetricRecor
         [(c.auto_path, c.manual_path, c.binarize_rule or config.default_rule) for c in cases]
     )
     records = []
-    for case, masks in zip(cases, pairs):
+    # not zip(cases, pairs): zip's reused result tuple holds the last pair
+    # until the next one is decoded
+    for case in cases:
+        masks = next(pairs)
         if isinstance(masks, Exception):
             records.append(_error_record(case, config, masks))
-            continue
-        try:
-            records.append(_record_from_masks(case, config, *masks))
-        except Exception as e:  # noqa: BLE001 - a failed case becomes its error record
-            records.append(_error_record(case, config, e))
+        else:
+            try:
+                records.append(_record_from_masks(case, config, *masks))
+            except Exception as e:  # noqa: BLE001 - a failed case becomes its error record
+                records.append(_error_record(case, config, e))
+        del masks  # freed before the next pair is decoded
     return records
 
 

@@ -19,8 +19,13 @@ parses the header from a small decoded prefix, then hands out the payload in
 chunks of ``_CHUNK_SLABS`` whole z-slabs, as stored. Plain files are sliced
 in place. A gzip stream is inflated only as far as each chunk needs, so
 decoding is bounded by the size the header declares. The rest of the stream
-is then inflated in bounded pieces and dropped, which still checks its CRC
-trailer. Multi-member gzip files are read member after member.
+is then inflated in bounded pieces and dropped, which still checks its
+trailers. Multi-member gzip files are read member after member. Each
+member's deflate data is inflated raw, and its RFC 1952 header and its
+CRC32 and length trailer are checked in this module, as zlib's gzip wrapper
+checks them. The CRC of each inflated piece that holds a nonzero byte is
+computed by zlib; that of an all-zero piece is combined from its length, so
+the long zero runs of a mask file are never hashed.
 
 The decoder has two consumers. :func:`load_volume` scales every chunk and
 assembles the full grid, which :func:`binarize` turns into a full-grid
@@ -49,7 +54,7 @@ import struct
 import zlib
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +86,10 @@ _HEADER_BYTES = 4096  # decoded prefix that must hold a rawvol header
 _DRAIN_BYTES = 1 << 20  # largest piece inflated to skip or drop bytes
 _INPUT_BYTES = 1 << 16  # largest piece of compressed input handed to zlib at once
 _NONZERO_BYTE = re.compile(rb"[^\x00]")  # the next gzip member, past zero padding
+_ZERO_BYTE = re.compile(rb"\x00")  # the end of a gzip header's name or comment
+_CUT = "Compressed file ended before the end-of-stream marker was reached"
+_BAD_MEMBER = "Error -3 while decompressing data: {}"  # zlib.error's text, as zlib reports it
+_CRC_POLY = 0xEDB88320  # CRC-32 (RFC 1952), bit-reflected
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,6 +178,42 @@ def _format_dims(dims: tuple[int, ...]) -> str:
     return "(" + ",".join(str(d) for d in dims) + ")"
 
 
+def _crc32(data: bytes, crc: int) -> int:
+    """``zlib.crc32(data, crc)``; for an all-zero ``data``, combined from its length.
+
+    Appending ``n`` zero bytes multiplies the unconditioned CRC register by
+    x^(8n) modulo the CRC polynomial, as zlib's ``crc32_combine`` does. The
+    zero test reads ``data`` in place and allocates no copy of it.
+    """
+    if np.frombuffer(data, np.uint8).max(initial=0):
+        return zlib.crc32(data, crc)
+    return _multmodp(_zeros_shift(len(data)), crc ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
+
+
+def _multmodp(a: int, b: int) -> int:
+    """a·b modulo the CRC polynomial, both bit-reflected (x^0 is ``1 << 31``)."""
+    m, p = 1 << 31, 0
+    while a:
+        if a & m:
+            p ^= b
+            a ^= m
+        m >>= 1
+        b = (b >> 1) ^ _CRC_POLY if b & 1 else b >> 1
+    return p
+
+
+@lru_cache(maxsize=64)  # a stream's pieces come in a few lengths
+def _zeros_shift(n: int) -> int:
+    """x^(8n) modulo the CRC polynomial: the shift of ``n`` zero bytes."""
+    p, square = 1 << 31, 1 << 23  # x^0, x^8
+    while n:
+        if n & 1:
+            p = _multmodp(square, p)
+        n >>= 1
+        square = _multmodp(square, square)
+    return p
+
+
 class _Decoded:
     """The decoded bytes of one file, read front to back.
 
@@ -179,6 +224,12 @@ class _Decoded:
     pieces of at most ``_INPUT_BYTES``: zlib copies the unconsumed rest of
     its input on every call, so handing it the whole file would copy the
     file once per chunk.
+
+    Each member's deflate data is inflated raw, and its RFC 1952 header
+    and trailer are checked here, as zlib's gzip wrapper checks them. The
+    wrapper would hash every decoded byte; here the CRC of each decoded
+    piece goes through :func:`_crc32`, which combines an all-zero piece's
+    CRC from its length.
     """
 
     def __init__(self, raw: bytes, path: str) -> None:
@@ -188,39 +239,83 @@ class _Decoded:
         if raw[:2] == b"\x1f\x8b":
             self._raw = self._held
             self._held = memoryview(b"")
-            # compressed bytes handed over and not yet consumed: always
-            # self._raw[self._fed - len(self._input):self._fed]
-            self._input = b""
-            self._fed = 0
-            self._inflater = zlib.decompressobj(wbits=31)
+            self._start_member(0)
+
+    def _bad(self, reason: str) -> CorruptFile:
+        return CorruptFile(f"{self.path}: bad gzip stream ({reason})")
+
+    def _start_member(self, start: int) -> None:
+        """Check the header of the member at ``start`` and set up to inflate its data."""
+        raw, at = self._raw, start + 10
+        # each field is checked once zlib's gzip wrapper would have it whole
+        fixed = raw[start:at]  # magic, CM, FLG, MTIME, XFL, OS
+        if len(fixed) >= 2 and fixed[:2] != b"\x1f\x8b":
+            raise self._bad(_BAD_MEMBER.format("incorrect header check"))
+        if len(fixed) >= 4 and fixed[2] != 8:
+            raise self._bad(_BAD_MEMBER.format("unknown compression method"))
+        if len(fixed) >= 4 and fixed[3] & 0xE0:
+            raise self._bad(_BAD_MEMBER.format("unknown header flags set"))
+        if len(fixed) < 10:
+            raise self._bad(_CUT)
+        flags = fixed[3]
+        if flags & 4:  # FEXTRA: a 2-byte length, then that many bytes
+            at += 2 + int.from_bytes(raw[at : at + 2], "little")
+        for flag in (8, 16):  # FNAME, FCOMMENT: zero-terminated
+            if flags & flag:
+                zero = _ZERO_BYTE.search(raw, at)
+                at = zero.end() if zero else len(raw) + 1
+        if flags & 2:  # FHCRC: the low 16 bits of the header's CRC32
+            if at + 2 <= len(raw) and (
+                zlib.crc32(raw[start:at]) & 0xFFFF != int.from_bytes(raw[at : at + 2], "little")
+            ):
+                raise self._bad(_BAD_MEMBER.format("header crc mismatch"))
+            at += 2
+        if at > len(raw):
+            raise self._bad(_CUT)
+        self._inflater = zlib.decompressobj(wbits=-15)
+        # compressed bytes handed over and not yet consumed: always
+        # self._raw[self._fed - len(self._input):self._fed]
+        self._input, self._fed = b"", at
+        self._crc = self._size = 0
+
+    def _check_trailer(self, end: int) -> None:
+        """Check the CRC32 and ISIZE trailer at ``end`` against the member's output."""
+        trailer = self._raw[end : end + 8]
+        if len(trailer) < 8:
+            raise self._bad(_CUT)
+        crc, size = struct.unpack("<II", trailer)
+        if crc != self._crc:
+            raise self._bad(_BAD_MEMBER.format("incorrect data check"))
+        if size != self._size & 0xFFFFFFFF:
+            raise self._bad(_BAD_MEMBER.format("incorrect length check"))
 
     def _inflate(self, n: int) -> bytes:
         """Up to ``n`` more decoded bytes; empty only at the end of the stream."""
         while True:
             inflater = self._inflater
             if inflater.eof:
-                # the member's unused input is read again, past any zero padding
-                start = self._fed - len(inflater.unused_data)
-                member = _NONZERO_BYTE.search(self._raw, start)
+                # the trailer and the next member are read from the unused input
+                end = self._fed - len(inflater.unused_data)
+                self._check_trailer(end)
+                member = _NONZERO_BYTE.search(self._raw, end + 8)
                 if member is None:
                     return b""
-                inflater = self._inflater = zlib.decompressobj(wbits=31)
-                self._input, self._fed = b"", member.start()
+                self._start_member(member.start())
+                inflater = self._inflater
             if not self._input:
                 self._input = self._raw[self._fed : self._fed + _INPUT_BYTES]
                 self._fed += len(self._input)
             try:
                 out = inflater.decompress(self._input, n)
             except zlib.error as e:
-                raise CorruptFile(f"{self.path}: bad gzip stream ({e})") from None
+                raise self._bad(str(e)) from None
             self._input = inflater.unconsumed_tail
             if out:
+                self._crc = _crc32(out, self._crc)
+                self._size += len(out)
                 return out
             if self._fed == len(self._raw) and not self._input and not inflater.eof:
-                raise CorruptFile(
-                    f"{self.path}: bad gzip stream (Compressed file ended "
-                    "before the end-of-stream marker was reached)"
-                )
+                raise self._bad(_CUT)
 
     def read(self, n: int) -> bytes | memoryview:
         """The next ``n`` decoded bytes; fewer only where the stream ends."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,24 @@ def gzip_members(blob: bytes, members: int = 1) -> bytes:
     return b"".join(
         gzip.compress(view[lo:hi], compresslevel=1) for lo, hi in zip(cuts, cuts[1:])
     )
+
+
+def gunzip_members(blob: bytes) -> bytes:
+    """The bytes of a gzip file, read member after member by zlib's gzip
+    wrapper (``wbits=31``), zero padding between members skipped.
+
+    The oracle for the package's gzip reader, which checks each member's
+    header and trailer itself. Raises ``zlib.error`` where a member is bad
+    or the file ends inside one.
+    """
+    parts = []
+    while blob:
+        inflater = zlib.decompressobj(wbits=31)
+        parts.append(inflater.decompress(blob))
+        if not inflater.eof:
+            raise zlib.error("the file ends inside a gzip member")
+        blob = inflater.unused_data.lstrip(b"\x00")
+    return b"".join(parts)
 
 
 def write_nifti(path: Path, data: np.ndarray, spacing=(1.0, 1.0, 1.0), *,

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -476,6 +477,32 @@ class TestJobs:
         assert dirty[3].error.startswith("CorruptFile: ")
         assert dirty[5].error.startswith("UnsupportedFormat: ")  # auto's, not manual's
         assert dirty[7].error == "GridMismatch: (16,16,17) vs (16,16,16)"
+
+    @pytest.mark.parametrize("first", ["ok", "error"])
+    def test_a_job_frees_each_case_s_masks_before_the_next_decode(
+        self, tmp_path, monkeypatch, first
+    ):
+        manifest = build_cohort(tmp_path, n_subjects=2, methods=("alpha",),
+                                structures=("left_hippocampus",))
+        cases = parse_manifest(manifest)  # two cases that share no file
+        if first == "error":  # an empty automatic mask fails in the record step
+            write_rawvol(cases[0].auto_path, np.zeros((16, 16, 16), np.uint8), gzipped=True)
+        case_of = {p: i for i, c in enumerate(cases) for p in (c.auto_path, c.manual_path)}
+        decoded = []  # (case, weak reference to the mask)
+        live = []  # per decode: its case, and the earlier cases with a mask alive
+        real = volume_module._members
+
+        def spy(src, rule):  # _decode turns a failed assert into the file's error
+            case = case_of[src.path]
+            live.append((case, [i for i, ref in decoded if i < case and ref() is not None]))
+            mask = real(src, rule)
+            decoded.append((case, weakref.ref(mask)))
+            return mask
+
+        monkeypatch.setattr(volume_module, "_members", spy)
+        records = cohort._evaluate_job(cases, EvalConfig(threads=1))
+        assert [r.status for r in records] == [first, "ok"]
+        assert live == [(0, []), (0, []), (1, []), (1, [])]
 
     def test_dead_worker_inside_a_job_sinks_only_its_case(self, tmp_path, monkeypatch):
         manifest = build_cohort(tmp_path, n_subjects=2)

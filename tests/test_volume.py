@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from helpers import (
     embed,
+    gunzip_members,
     gzip_members,
     loaded_pair,
     make_volume,
@@ -791,6 +792,153 @@ def test_zero_padding_between_gzip_members_is_skipped(tmp_path):
     path.write_bytes(
         gzip.compress(blob[:50]) + bytes(16) + gzip.compress(blob[50:]) + bytes(3)
     )
+    np.testing.assert_array_equal(load_volume(path).data, data)
+
+
+def _member(payload: bytes, flags: int = 0, extra: bytes = b"", name: bytes = b"",
+            comment: bytes = b"", mtime: int = 0, level: int = 6) -> bytes:
+    """One gzip member of ``payload``, laid out field by field (RFC 1952).
+
+    ``flags`` is the FLG byte: FEXTRA (4), FNAME (8) and FCOMMENT (16) add
+    ``extra``, ``name`` and ``comment``, the last two zero-terminated, and
+    FHCRC (2) adds the low 16 bits of the header's CRC32.
+    """
+    head = b"\x1f\x8b\x08" + bytes([flags]) + struct.pack("<I", mtime) + b"\x00\xff"
+    if flags & 4:
+        head += struct.pack("<H", len(extra)) + extra
+    if flags & 8:
+        head += name + b"\x00"
+    if flags & 16:
+        head += comment + b"\x00"
+    if flags & 2:
+        head += struct.pack("<H", zlib.crc32(head) & 0xFFFF)
+    deflate = zlib.compressobj(level, wbits=-15)
+    body = deflate.compress(payload) + deflate.flush()
+    return head + body + struct.pack("<II", zlib.crc32(payload), len(payload) & 0xFFFFFFFF)
+
+
+_TEXT = st.binary(max_size=12).map(lambda b: b.replace(b"\x00", b"a"))  # zero-free
+
+
+@st.composite
+def _gzip_files(draw):
+    """1-3 gzip members of a payload of zero runs and random bytes, with
+    random header fields and zero padding, then at most one bit flip, cut
+    or piece of trailing garbage."""
+    runs = st.one_of(st.integers(1, 1 << 19).map(bytes), st.binary(min_size=1, max_size=64))
+    payload = b"".join(draw(st.lists(runs, min_size=1, max_size=6)))
+    k = draw(st.integers(1, 3))
+    cuts = sorted(draw(st.lists(st.integers(0, len(payload)), min_size=k - 1, max_size=k - 1)))
+    blob = b""
+    for lo, hi in zip([0, *cuts], [*cuts, len(payload)]):
+        blob += _member(
+            payload[lo:hi], flags=draw(st.integers(0, 31)), extra=draw(st.binary(max_size=12)),
+            name=draw(_TEXT), comment=draw(_TEXT), mtime=draw(st.integers(0, 2**32 - 1)),
+            level=draw(st.integers(0, 9)),
+        ) + bytes(draw(st.sampled_from([0, 0, 1, 7])))
+    mutation = draw(st.sampled_from(["none", "flip", "cut", "garbage"]))
+    if mutation == "flip":  # never in the first magic, which makes the file plain
+        at = draw(st.integers(2, len(blob) - 1))
+        blob = blob[:at] + bytes([blob[at] ^ 1 << draw(st.integers(0, 7))]) + blob[at + 1 :]
+    elif mutation == "cut":
+        blob = blob[: draw(st.integers(2, len(blob) - 1))]
+    elif mutation == "garbage":
+        blob += draw(st.binary(min_size=1, max_size=12))
+    return blob
+
+
+@settings(deadline=None)
+@given(_gzip_files(), st.sampled_from([1 << 8, 1 << 12, 1 << 18, 1 << 20]))
+@example(  # every header field, in a clean file: random files have one only at times
+    _member(bytes(1 << 18) + b"\x01", flags=31, extra=b"SE\x04\x00eval", name=b"v.nii",
+            comment=b"label map"),
+    1 << 12,
+)
+def test_gzip_files_read_as_zlib_s_gzip_wrapper_reads_them(blob, step):
+    def read_all():
+        stream = volume_module._Decoded(blob, "v.gz")
+        parts = []
+        while piece := stream.read(step):
+            parts.append(bytes(piece))
+        stream.drain()
+        return b"".join(parts)
+
+    try:
+        want = gunzip_members(blob)
+    except zlib.error:
+        with pytest.raises(CorruptFile, match=r"^v\.gz: bad gzip stream \("):
+            read_all()
+    else:
+        assert read_all() == want
+
+
+@given(
+    st.one_of(st.sampled_from([1, 255, 1 << 18, 1 << 20]),
+              st.integers(0, 1 << 17).map(lambda n: 2 * n + 1)),
+    st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+    st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(1, 255)), max_size=3),
+)
+def test_crc32_equals_zlib_s_for_zero_and_mixed_data(length, crc, nonzero):
+    data = bytearray(length)
+    for at, value in nonzero:
+        data[at % length] = value
+    assert volume_module._crc32(bytes(data), crc) == zlib.crc32(data, crc)
+    assert volume_module._zeros_shift.cache_info().maxsize is not None
+
+
+def _spoiled_member(defect: str) -> bytes:
+    """A gzip member of a NIfTI file of long zero runs, with ``defect``."""
+    data = np.zeros((128, 128, 32), np.uint8)
+    data[60:68, 60:68, 14:18] = 1
+    clean = nifti_bytes(data)
+    blob = bytearray(_member(clean, flags=2 if defect == "header-crc" else 0))
+    if defect == "method":
+        blob[2] = 7
+    elif defect == "flags":
+        blob[3] |= 0x80
+    elif defect == "header-crc":
+        blob[4] ^= 1  # MTIME, under the header's CRC
+    elif defect == "data":  # one more nonzero byte deep in a zero run, the clean trailer
+        spoiled = bytearray(clean)
+        spoiled[len(clean) * 3 // 4] = 1
+        blob = bytearray(_member(bytes(spoiled))[:-8] + blob[-8:])
+    elif defect == "length":
+        blob[-4] ^= 1  # ISIZE
+    elif defect == "garbage":
+        blob += b"segeval"
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("reader", ["load_volume", "load_mask_pair"])
+@pytest.mark.parametrize("defect, reason", [
+    ("method", "unknown compression method"),
+    ("flags", "unknown header flags set"),
+    ("header-crc", "header crc mismatch"),
+    ("data", "incorrect data check"),
+    ("length", "incorrect length check"),
+    ("garbage", "incorrect header check"),
+])
+def test_a_bad_gzip_member_fails_with_zlib_s_reason(tmp_path, reader, defect, reason):
+    blob = _spoiled_member(defect)
+    with pytest.raises(zlib.error, match=f": {reason}$") as oracle:
+        gunzip_members(blob)
+    path = tmp_path / "v.nii.gz"
+    path.write_bytes(blob)
+    with pytest.raises(CorruptFile) as raised:
+        if reader == "load_volume":
+            load_volume(path)
+        else:
+            load_mask_pair(path, path, BinarizeRule.nonzero())
+    assert str(raised.value) == f"{path}: bad gzip stream ({oracle.value})"
+
+
+def test_a_gzip_file_with_a_name_decodes(tmp_path):
+    # nibabel and FSL write the file name into the gzip header (FNAME)
+    data = _arange_vol((5, 4, 3))
+    path = tmp_path / "v.nii.gz"
+    with gzip.GzipFile(filename=path, mode="wb") as f:
+        f.write(nifti_bytes(data))
+    assert path.read_bytes()[3] & 8
     np.testing.assert_array_equal(load_volume(path).data, data)
 
 
