@@ -227,11 +227,15 @@ def parse_manifest(path: str | Path) -> list[CaseSpec]:
     directory. The (subject, method, structure) key must be unique. A
     JSON-lines value is read as the text a CSV cell would hold: a string
     as it is, null as a missing cell, any other value as its JSON text
-    (``17`` as ``"17"``, ``true`` as ``"true"``).
+    (``17`` as ``"17"``, ``true`` as ``"true"``). The text is UTF-8, with
+    or without a byte-order mark; a manifest without a data row is malformed.
     """
     path = Path(path)
     base = path.parent
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as e:
+        raise MalformedRow(f"manifest is not UTF-8 text ({e})") from None
     rows: list[tuple[int, dict]] = []
     if path.suffix.lower() in (".jsonl", ".ndjson", ".json"):
         for row_no, line in enumerate(text.splitlines(), start=1):
@@ -258,6 +262,8 @@ def parse_manifest(path: str | Path) -> list[CaseSpec]:
         # data rows start at line 2, after the header
         for row_no, row in enumerate(reader, start=2):
             rows.append((row_no, row))
+    if not rows:
+        raise MalformedRow("manifest has no data rows")
 
     cases: list[CaseSpec] = []
     seen: dict[tuple[str, str, str], int] = {}

@@ -94,23 +94,23 @@ def _json_dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def metrics_csv_text(records: list[MetricRecord], config: EvalConfig) -> str:
+def _csv_text(config: EvalConfig, header: list[str], rows, notes=()) -> str:
+    """A CSV artifact: the ``# config:`` line, one ``#`` line per note, the header, the rows."""
     buf = io.StringIO()
-    buf.write(f"# config: {config.describe()}\n")
+    buf.writelines(f"# {line}\n" for line in (f"config: {config.describe()}", *notes))
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_METRICS_HEADER)
-    for r in records:
-        writer.writerow(
-            [
-                r.subject,
-                r.method,
-                r.structure,
-                r.field_strength or "",
-            ]
-            + [_fmt(r.metric(m)) for m in METRIC_NAMES]
-            + [_fmt(r.v_auto), _fmt(r.v_manual), r.space, r.status, r.error or ""]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def metrics_csv_text(records: list[MetricRecord], config: EvalConfig) -> str:
+    return _csv_text(config, _METRICS_HEADER, (
+        [r.subject, r.method, r.structure, r.field_strength or ""]
+        + [_fmt(r.metric(m)) for m in METRIC_NAMES]
+        + [_fmt(r.v_auto), _fmt(r.v_manual), r.space, r.status, r.error or ""]
+        for r in records
+    ))
 
 
 def volumes_csv_text(records: list[MetricRecord], config: EvalConfig) -> str:
@@ -125,40 +125,27 @@ def volumes_csv_text(records: list[MetricRecord], config: EvalConfig) -> str:
             rows.setdefault((r.subject, r.method), [None] * 6)[k : k + 3] = (
                 r.v_auto, r.v_manual, abs(r.ravd),
             )
-    buf = io.StringIO()
-    buf.write(f"# config: {config.describe()}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_VOLUMES_HEADER)
-    for key in sorted(rows):
-        writer.writerow(list(key) + [_fmt(v) for v in rows[key]])
-    return buf.getvalue()
+    return _csv_text(config, _VOLUMES_HEADER,
+                     (list(key) + [_fmt(v) for v in rows[key]] for key in sorted(rows)))
 
 
 def anova_csv_text(
     tables: dict[str, AnovaTable], skipped: dict[str, str], config: EvalConfig
 ) -> str:
-    buf = io.StringIO()
-    buf.write(f"# config: {config.describe()}\n")
-    for metric in sorted(skipped):
-        buf.write(f"# skipped {metric}: {skipped[metric]}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_ANOVA_HEADER)
+    rows = []
     for metric in METRIC_NAMES:
         table = tables.get(metric)
         if table is None:
             continue
-        writer.writerow(
+        rows += [
             [metric, "Columns", _fmt(table.ss_between), table.df_between,
-             _fmt(table.ms_between), _fmt(table.f), _fmt_p(table.p)]
-        )
-        writer.writerow(
+             _fmt(table.ms_between), _fmt(table.f), _fmt_p(table.p)],
             [metric, "Error", _fmt(table.ss_within), table.df_within,
-             _fmt(table.ms_within), "", ""]
-        )
-        writer.writerow(
-            [metric, "Total", _fmt(table.ss_total), table.df_total, "", "", ""]
-        )
-    return buf.getvalue()
+             _fmt(table.ms_within), "", ""],
+            [metric, "Total", _fmt(table.ss_total), table.df_total, "", "", ""],
+        ]
+    notes = [f"skipped {metric}: {skipped[metric]}" for metric in sorted(skipped)]
+    return _csv_text(config, _ANOVA_HEADER, rows, notes)
 
 
 def _data_lines(text: str) -> list[str]:
@@ -175,8 +162,14 @@ def _data_lines(text: str) -> list[str]:
 
 
 def read_metrics_csv(path: str | Path) -> list[MetricRecord]:
-    """Parse a metrics.csv produced by this package back into records."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Parse a metrics.csv produced by this package back into records.
+
+    The text is UTF-8, with or without a byte-order mark.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as e:
+        raise MalformedCsv(f"{path}: not UTF-8 text ({e})") from None
     reader = csv.DictReader(_data_lines(text))
     if reader.fieldnames is None:
         raise MalformedCsv(f"{path}: no header row")
@@ -371,16 +364,4 @@ def write_report_bundle(
 
 def anova_table_payload(table: AnovaTable) -> dict:
     """Full-precision machine-readable form of one ANOVA table."""
-    return {
-        "ss_between": table.ss_between,
-        "ss_within": table.ss_within,
-        "ss_total": table.ss_total,
-        "df_between": table.df_between,
-        "df_within": table.df_within,
-        "df_total": table.df_total,
-        "ms_between": table.ms_between,
-        "ms_within": table.ms_within,
-        "f": table.f,
-        "p": table.p,
-        "p_printed": _fmt_p(table.p),
-    }
+    return {**asdict(table), "df_total": table.df_total, "p_printed": _fmt_p(table.p)}

@@ -19,29 +19,17 @@ The transform is separable: one pass per axis, each setting
 the three passes every squared distance below T = min(step²)·(w+1)² is
 exact, and every other value is an overestimate at or above T. With
 w ≥ max(dims) − 1 the windows span the grid and every value is exact, so
-a round of stage 3 below whose window spans its box settles every query.
+a windowed round whose window spans its box settles every query.
 Each value is then the minimum over sites of
 ``(h0·k0·k0 + h1·k1·k1) + h2·k2·k2`` (h = step²), because float rounding
 is monotone: a minimum plus a constant is the minimum of the sums.
 
 Surfaces of overlapping structures lie a few voxels apart, so the route
-works at the query voxels, in three stages that each compute that same
-expression:
-
-1. Search in distance order. The offsets within 4 voxels whose value lies
-   below T = min(step²)·5² are sorted into levels of equal value. For each
-   level, one gather on the site grid tests every unsettled query; the
-   first level with a site settles it at that level's value.
-2. Per-query brute force. When |left|·|sites| is at most the voxel count
-   of the next windowed round's box, the leftover queries are finished
-   against every site.
-3. Windowed rounds. Otherwise the transform runs on the box around the
-   leftovers, from w = 8 with w doubled each round, sampled at the
-   leftovers alone, and keeps the values below its bound.
-
-A far-away false-positive island voxel is one leftover query, finished by
-stage 2 at the cost of |sites| terms, not by windows grown to its
-distance over the whole box.
+works at the query voxels, in the three stages :func:`_nearest_distances`
+sets out, each computing that same expression. A far-away false-positive
+island voxel is one leftover query, finished by its brute-force stage at
+the cost of |sites| terms, not by windows grown to its distance over the
+whole box.
 """
 
 from __future__ import annotations

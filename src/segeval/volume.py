@@ -42,8 +42,9 @@ This is exact. A voxel whose bits are all zero holds the file's zero value,
 0 or ``scl_inter`` once scaled, which is never NaN. So when the rule maps
 the zero value to a non-member, nothing outside the box is a member or a
 NaN, and a chunk without a nonzero bit is skipped. The zero value is run
-once per file through the very scaling and rule the chunks get; when it is
-a member (``equals:0``, say), the box is the whole chunk.
+once per file, before its first chunk, through the very scaling and rule
+the chunks get; when it is a member (``equals:0``, say), the box is the
+whole chunk. The members' box within it is taken by the same reductions.
 """
 
 from __future__ import annotations
@@ -565,14 +566,16 @@ def binarize(vol: LabelVolume, rule: BinarizeRule) -> BinaryMask:
     return BinaryMask(dims=vol.dims, spacing=vol.spacing, bits=bits)
 
 
-def _nonzero_box(stored: np.ndarray) -> tuple[slice, slice, slice] | None:
-    """The box of the voxels whose stored bits are not all zero; None if none are.
+def _nonzero_box(a: np.ndarray) -> tuple[slice, slice, slice] | None:
+    """The box of the items of ``a`` whose bits are not all zero; None if none are.
 
-    The reductions run on an unsigned view of the same item size: first per
+    It finds both boxes of a chunk: that of its nonzero stored voxels and
+    that of the members among them (a bool array views as ``u1``). The
+    reductions run on an unsigned view of the same item size: first per
     z-slab, which skips an empty chunk after one pass, then per x and per y
     over the footprint of the occupied slabs.
     """
-    bits = stored.view(f"u{stored.itemsize}")
+    bits = a.view(f"u{a.itemsize}")
     zs = np.flatnonzero(bits.max(axis=(0, 1), initial=0))
     if not zs.size:
         return None
@@ -585,22 +588,28 @@ def _nonzero_box(stored: np.ndarray) -> tuple[slice, slice, slice] | None:
 def _members(src: _VolumeFile, rule: BinarizeRule) -> BinaryMask:
     """The mask of the file ``src`` on the bounding box of its members, read chunk by chunk.
 
-    Per chunk, only the box of voxels with a nonzero stored bit is passed
-    through :meth:`_VolumeFile.values` and the rule, unless the zero value
-    is itself a member; then the box is the whole chunk. The members' box
-    within it is kept, and the kept boxes are pasted into the box around
-    them all. A file without members gets an empty box at the grid corner.
+    The zero value goes through :meth:`_VolumeFile.values` and the rule
+    once, before the first chunk. Per chunk, only the :func:`_nonzero_box`
+    of its stored voxels goes through them, unless the zero value is itself
+    a member; then the box is the whole chunk. A copy of the
+    :func:`_nonzero_box` of the resulting flags is kept, and the kept boxes
+    are pasted into the box around them all. A file without members gets
+    an empty box at the grid corner.
     """
+    zero = src.values(np.zeros((1, 1, 1), src._dtype))
+    whole = (slice(0, None),) * 3 if _apply_rule(zero, rule).any() else None
     pieces = []
-    zero_member = None
     for z0, stored in src.chunks():
-        if zero_member is None:  # every chunk of a file has one dtype
-            zero = src.values(np.zeros((1, 1, 1), stored.dtype))
-            zero_member = bool(_apply_rule(zero, rule).any())
-        piece = _chunk_members(src, z0, stored, rule, zero_member)
+        box = whole or _nonzero_box(stored)
+        if box is not None:
+            bits = _apply_rule(src.values(stored[box]), rule)
+            tight = _nonzero_box(bits)
+            if tight is not None:
+                x, y, z = (b.start + t.start for b, t in zip(box, tight))
+                # a copy, so the chunk's flags are freed
+                pieces.append(((x, y, z0 + z), bits[tight].copy()))
+            del bits
         del stored  # freed before the next chunk is inflated
-        if piece is not None:
-            pieces.append(piece)
     origin = end = (0, 0, 0)
     if pieces:
         origin = tuple(min(c[i] for c, _ in pieces) for i in range(3))
@@ -610,28 +619,6 @@ def _members(src: _VolumeFile, rule: BinarizeRule) -> BinaryMask:
         box[tuple(slice(c - o, c - o + n) for c, o, n in zip(corner, origin, bits.shape))] = bits
     box.flags.writeable = False
     return BinaryMask(src.dims, src.spacing, box, origin)
-
-
-def _chunk_members(
-    src: _VolumeFile, z0: int, stored: np.ndarray, rule: BinarizeRule, zero_member: bool
-) -> tuple[tuple[int, int, int], np.ndarray] | None:
-    """The grid corner and a copy of the box of the members of the chunk at
-    slab ``z0``; None if it has none."""
-    whole = tuple(slice(0, n) for n in stored.shape)
-    box = whole if zero_member else _nonzero_box(stored)
-    if box is None:
-        return None
-    bits = _apply_rule(src.values(stored[box]), rule)
-    if not bits.any():
-        return None
-    tight = []
-    for axis in range(3):
-        others = tuple(ax for ax in range(3) if ax != axis)
-        hits = np.flatnonzero(bits.any(axis=others))
-        tight.append(slice(int(hits[0]), int(hits[-1]) + 1))
-    x, y, z = (b.start + t.start for b, t in zip(box, tight))
-    # a copy, so the box's flags are freed
-    return (x, y, z0 + z), bits[tuple(tight)].copy()
 
 
 def _decode(path: str, rule: BinarizeRule) -> BinaryMask | Exception:

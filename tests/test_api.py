@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import segeval
@@ -87,3 +88,13 @@ def test_every_name_the_benchmark_imports_exists():
                for pair in _segeval_imports(path)]
     assert {"measure.py", "run.py"} <= {name for name, _, _ in imports}
     assert [entry for entry in imports if not _resolves(*entry[1:])] == []
+
+
+def test_version_is_the_project_version():
+    # run_manifest.json prints __version__ as tool_version; pyproject.toml
+    # holds the version the package is built under (parsed by hand: tomllib
+    # is new in Python 3.11)
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    version = re.search(r'^version\s*=\s*"([^"]*)"', project, re.M).group(1)
+    assert segeval.__version__ == version

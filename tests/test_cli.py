@@ -310,13 +310,8 @@ def _src_env() -> dict:
     return env
 
 
-def _bad_inputs(root: Path) -> None:
-    """JSON-lines manifests with non-text values, and a metrics CSV with an unknown status."""
-    base = {"subject": "s1", "method": "alpha", "structure": "left",
-            "auto": "a.rawvol", "manual": "m.rawvol"}
-    for name, extra in (("label_list", {"label": [17]}), ("label_true", {"label": True}),
-                        ("field_strength_3", {"field_strength": 3})):
-        (root / f"{name}.jsonl").write_text(json.dumps({**base, **extra}) + "\n")
+def _two_method_csv() -> str:
+    """A metrics CSV of two methods, four ok cases each."""
     records = [
         cohort.MetricRecord(
             subject=f"s{i}", method=method, structure="left_hippocampus",
@@ -326,8 +321,17 @@ def _bad_inputs(root: Path) -> None:
         )
         for method in ("alpha", "beta") for i in range(4)
     ]
-    text = metrics_csv_text(records, cohort.EvalConfig())
-    (root / "status.csv").write_text(text.replace(",index,ok,", ",index,OK,", 2))
+    return metrics_csv_text(records, cohort.EvalConfig())
+
+
+def _bad_inputs(root: Path) -> None:
+    """JSON-lines manifests with non-text values, and a metrics CSV with an unknown status."""
+    base = {"subject": "s1", "method": "alpha", "structure": "left",
+            "auto": "a.rawvol", "manual": "m.rawvol"}
+    for name, extra in (("label_list", {"label": [17]}), ("label_true", {"label": True}),
+                        ("field_strength_3", {"field_strength": 3})):
+        (root / f"{name}.jsonl").write_text(json.dumps({**base, **extra}) + "\n")
+    (root / "status.csv").write_text(_two_method_csv().replace(",index,ok,", ",index,OK,", 2))
 
 
 @pytest.mark.parametrize(
@@ -355,6 +359,57 @@ def test_bad_input_ends_in_an_exit_code_not_a_traceback(tmp_path, argv, code, me
     assert run.returncode == code, run.stderr
     assert message in run.stderr
     assert "Traceback" not in run.stderr
+
+
+_BOM = b"\xef\xbb\xbf"
+_MANIFEST_HEADER = b"subject,method,structure,auto,manual\n"
+_MANIFEST_ROW = b"s1,alpha,left,v.rawvol,v.rawvol\n"
+_MANIFEST_JSON = json.dumps({"subject": "s1", "method": "alpha", "structure": "left",
+                             "auto": "v.rawvol", "manual": "v.rawvol"}).encode() + b"\n"
+
+
+@pytest.mark.parametrize(
+    "name, data, code, typed",
+    [
+        ("m.csv", _MANIFEST_HEADER, 1, "MalformedRow: manifest has no data rows"),
+        ("m.jsonl", b"", 1, "MalformedRow: manifest has no data rows"),
+        ("m.csv", _BOM + _MANIFEST_HEADER + _MANIFEST_ROW, 0, None),
+        ("m.jsonl", _BOM + _MANIFEST_JSON, 0, None),
+        ("m.csv", _MANIFEST_HEADER + _MANIFEST_ROW.replace(b"s1", b"s\xff1"), 1,
+         "MalformedRow: manifest is not UTF-8 text"),
+        ("metrics.csv", b"bom", 0, None),
+        ("metrics.csv", b"0xff", 1, "MalformedCsv:"),
+    ],
+    ids=["csv_header_only", "jsonl_empty", "csv_bom", "jsonl_bom", "csv_0xff_byte",
+         "metrics_bom", "metrics_0xff_byte"],
+)
+def test_manifest_and_metrics_text_end_in_an_exit_code_not_a_traceback(
+    tmp_path, name, data, code, typed
+):
+    # a byte-order mark is read past; an empty manifest or undecodable bytes
+    # are a typed input error, exit 1
+    write_rawvol(tmp_path / "v.rawvol", sphere_bits((8, 8, 8), (4, 4, 4), 2).astype(np.uint8))
+    if name == "metrics.csv":
+        text = _two_method_csv().encode()
+        data = _BOM + text if data == b"bom" else text.replace(b"\ns1,", b"\ns\xff1,", 1)
+        argv = ["anova", name, "dice"]
+    else:
+        argv = ["evaluate", name, "out"]
+    (tmp_path / name).write_bytes(data)
+    run = subprocess.run(
+        [sys.executable, "-m", "segeval.cli", *argv], cwd=tmp_path, env=_src_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr
+    if typed is None:
+        assert run.stderr == ""
+        if argv[0] == "anova":
+            assert json.loads(run.stdout)["df_total"] == 7
+        else:
+            assert run.stdout.startswith("1/1 cases ok")
+    else:
+        assert run.stderr.startswith(typed), run.stderr
 
 
 def test_import_loads_no_third_party_module_but_numpy():
