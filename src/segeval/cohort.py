@@ -254,14 +254,17 @@ def parse_manifest(path: str | Path) -> list[CaseSpec]:
             }))
     else:
         reader = csv.DictReader(text.splitlines())
-        if reader.fieldnames is None:
+        try:
+            header, data = reader.fieldnames, list(reader)
+        except csv.Error as e:  # a cell over the csv module's field size limit, say
+            raise MalformedRow(f"row {reader.reader.line_num}: {e}") from None
+        if header is None:
             raise MalformedRow("manifest has no header row")
-        missing = [c for c in _MANIFEST_COLUMNS if c not in reader.fieldnames]
+        missing = [c for c in _MANIFEST_COLUMNS if c not in header]
         if missing:
             raise MalformedRow(f"manifest header is missing columns {missing}")
         # data rows start at line 2, after the header
-        for row_no, row in enumerate(reader, start=2):
-            rows.append((row_no, row))
+        rows = list(enumerate(data, start=2))
     if not rows:
         raise MalformedRow("manifest has no data rows")
 

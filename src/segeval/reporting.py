@@ -171,13 +171,17 @@ def read_metrics_csv(path: str | Path) -> list[MetricRecord]:
     except UnicodeDecodeError as e:
         raise MalformedCsv(f"{path}: not UTF-8 text ({e})") from None
     reader = csv.DictReader(_data_lines(text))
-    if reader.fieldnames is None:
+    try:
+        header, rows = reader.fieldnames, list(reader)
+    except csv.Error as e:  # a cell over the csv module's field size limit, say
+        raise MalformedCsv(f"{path}: row {reader.reader.line_num}: {e}") from None
+    if header is None:
         raise MalformedCsv(f"{path}: no header row")
-    missing = [c for c in _METRICS_HEADER if c not in reader.fieldnames]
+    missing = [c for c in _METRICS_HEADER if c not in header]
     if missing:
         raise MalformedCsv(f"{path}: missing columns {missing}")
     records = []
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in enumerate(rows, start=2):
         try:
             if row["status"] not in ("ok", "error"):
                 raise MalformedCsv(

@@ -124,7 +124,8 @@ def extract_surface(
     interior[:, :, 0] = interior[:, :, -1] = False
     np.logical_xor(interior, bits, out=interior)  # the surface: members not interior
     # one C-order scan gives np.argwhere's order and (n, 3) column-major layout
-    at = np.stack(np.unravel_index(np.flatnonzero(interior), bits.shape)).astype(np.int64)
+    at = np.stack(np.unravel_index(np.flatnonzero(interior), bits.shape))
+    at = at.astype(np.int64, copy=False)  # already int64 where intp is
     at += np.asarray(mask.origin, dtype=np.int64)[:, None]
     return SurfacePointSet(indices=at.T, space=space, spacing=mask.spacing)
 

@@ -25,7 +25,8 @@ member's deflate data is inflated raw, and its RFC 1952 header and its
 CRC32 and length trailer are checked in this module, as zlib's gzip wrapper
 checks them. The CRC of each inflated piece that holds a nonzero byte is
 computed by zlib; that of an all-zero piece is combined from its length, so
-the long zero runs of a mask file are never hashed.
+the long zero runs of a mask file are never hashed. The same zero test tells
+each chunk's reader whether the chunk held a nonzero byte.
 
 The decoder has two consumers. :func:`load_volume` scales every chunk and
 assembles the full grid, which :func:`binarize` turns into a full-grid
@@ -41,10 +42,12 @@ the same item size; only that box is scaled, checked for NaN and binarized.
 This is exact. A voxel whose bits are all zero holds the file's zero value,
 0 or ``scl_inter`` once scaled, which is never NaN. So when the rule maps
 the zero value to a non-member, nothing outside the box is a member or a
-NaN, and a chunk without a nonzero bit is skipped. The zero value is run
-once per file, before its first chunk, through the very scaling and rule
-the chunks get; when it is a member (``equals:0``, say), the box is the
-whole chunk. The members' box within it is taken by the same reductions.
+NaN, and a chunk whose inflated bytes the CRC's zero test found all zero is
+dropped with no view and no reduction. The zero value is run once per
+file, before its first chunk, through the very scaling and rule the chunks
+get; when it is a member (``equals:0``, say), the box is the whole chunk.
+The members' box within it is taken by the same reductions, and the flags
+are copied down to it only when it is strictly smaller.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ import math
 import re
 import struct
 import zlib
+from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -179,16 +183,20 @@ def _format_dims(dims: tuple[int, ...]) -> str:
     return "(" + ",".join(str(d) for d in dims) + ")"
 
 
-def _crc32(data: bytes, crc: int) -> int:
-    """``zlib.crc32(data, crc)``; for an all-zero ``data``, combined from its length.
+def _crc32(data: bytes, crc: int) -> tuple[int, bool]:
+    """``zlib.crc32(data, crc)``, and whether ``data`` holds a nonzero byte.
 
-    Appending ``n`` zero bytes multiplies the unconditioned CRC register by
-    x^(8n) modulo the CRC polynomial, as zlib's ``crc32_combine`` does. The
-    zero test reads ``data`` in place and allocates no copy of it.
+    For an all-zero ``data`` the CRC is combined from its length: appending
+    ``n`` zero bytes multiplies the unconditioned CRC register by x^(8n)
+    modulo the CRC polynomial, as zlib's ``crc32_combine`` does, here by
+    table lookup. The zero test reads ``data`` in place and allocates no
+    copy of it.
     """
     if np.frombuffer(data, np.uint8).max(initial=0):
-        return zlib.crc32(data, crc)
-    return _multmodp(_zeros_shift(len(data)), crc ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
+        return zlib.crc32(data, crc), True
+    t0, t1, t2, t3 = _zeros_tables(len(data))
+    b = crc ^ 0xFFFFFFFF
+    return t0[b & 255] ^ t1[b >> 8 & 255] ^ t2[b >> 16 & 255] ^ t3[b >> 24] ^ 0xFFFFFFFF, False
 
 
 def _multmodp(a: int, b: int) -> int:
@@ -203,7 +211,6 @@ def _multmodp(a: int, b: int) -> int:
     return p
 
 
-@lru_cache(maxsize=64)  # a stream's pieces come in a few lengths
 def _zeros_shift(n: int) -> int:
     """x^(8n) modulo the CRC polynomial: the shift of ``n`` zero bytes."""
     p, square = 1 << 31, 1 << 23  # x^0, x^8
@@ -213,6 +220,29 @@ def _zeros_shift(n: int) -> int:
         n >>= 1
         square = _multmodp(square, square)
     return p
+
+
+@lru_cache(maxsize=64)  # a stream's pieces come in a few lengths
+def _zeros_tables(n: int) -> tuple[array, array, array, array]:
+    """The shift of ``n`` zero bytes as four 256-entry tables, one per register byte.
+
+    The product by x^(8n) is linear over GF(2), so a register's product is
+    the XOR of its bytes' products: entry ``v`` of table ``j`` is that of
+    ``v << 8j``. Four lookups then take the place of :func:`_multmodp`'s
+    32 steps.
+    """
+    image, images = _zeros_shift(n), []
+    for _ in range(32):  # the products of x^0 .. x^31
+        images.append(image)
+        image = (image >> 1) ^ _CRC_POLY if image & 1 else image >> 1
+    tables = []
+    for j in range(4):
+        table = [0]
+        for i in range(8):  # bit i of byte j is x^(31 - 8j - i)
+            image = images[31 - 8 * j - i]
+            table += [t ^ image for t in table]
+        tables.append(array("I", table))
+    return tuple(tables)
 
 
 class _Decoded:
@@ -230,13 +260,15 @@ class _Decoded:
     and trailer are checked here, as zlib's gzip wrapper checks them. The
     wrapper would hash every decoded byte; here the CRC of each decoded
     piece goes through :func:`_crc32`, which combines an all-zero piece's
-    CRC from its length.
+    CRC from its length. Its zero test also sets :attr:`nonzero`, so a
+    reader learns which of its reads held only zero bytes.
     """
 
     def __init__(self, raw: bytes, path: str) -> None:
         self.path = path
         self._held = memoryview(raw)  # decoded, not yet read
         self._inflater = None
+        self.nonzero = False  # whether the last read's bytes may hold a nonzero byte
         if raw[:2] == b"\x1f\x8b":
             self._raw = self._held
             self._held = memoryview(b"")
@@ -312,16 +344,23 @@ class _Decoded:
                 raise self._bad(str(e)) from None
             self._input = inflater.unconsumed_tail
             if out:
-                self._crc = _crc32(out, self._crc)
+                self._crc, nonzero = _crc32(out, self._crc)
+                self.nonzero = self.nonzero or nonzero
                 self._size += len(out)
                 return out
             if self._fed == len(self._raw) and not self._input and not inflater.eof:
                 raise self._bad(_CUT)
 
     def read(self, n: int) -> bytes | memoryview:
-        """The next ``n`` decoded bytes; fewer only where the stream ends."""
+        """The next ``n`` decoded bytes; fewer only where the stream ends.
+
+        :attr:`nonzero` is then False only if each of them was inflated by
+        this read and found zero by :func:`_crc32`'s test; bytes held from
+        a plain file or a peek count as nonzero.
+        """
         out = self._held[:n]
         self._held = self._held[len(out):]
+        self.nonzero = len(out) > 0
         if len(out) == n or self._inflater is None:
             return out
         parts = [bytes(out)] if len(out) else []
@@ -390,14 +429,20 @@ class _VolumeFile:
             self._has_nan = bool(np.isnan(values).any())
         return values
 
-    def chunks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(z0, stored)`` for each chunk of ``_CHUNK_SLABS`` z-slabs.
+    def stored(self, buf: bytes | memoryview) -> np.ndarray:
+        """A chunk's bytes as its ``(nx, ny, k)`` block, in the stored dtype and byte order."""
+        nx, ny, _ = self.dims
+        return np.frombuffer(buf, dtype=self._dtype).reshape((nx, ny, -1), order="F")
 
-        ``stored`` is the ``(nx, ny, k)`` block starting at slab ``z0``, in
-        the stored dtype and byte order. After the last chunk the rest of
-        the stream is drained, then the spacing and the NaN voxels that
-        :meth:`values` noted are checked, in the order a whole decoded file
-        was checked in.
+    def chunks(self) -> Iterator[tuple[int, bytes | memoryview, bool]]:
+        """Yield ``(z0, buf, nonzero)`` for each chunk of ``_CHUNK_SLABS`` z-slabs.
+
+        ``buf`` holds the stored bytes of the slabs from ``z0`` on;
+        :meth:`stored` views them as a block. ``nonzero`` is False only
+        when the inflater's CRC test saw every one of those bytes zero.
+        After the last chunk the rest of the stream is drained, then the
+        spacing and the NaN voxels that :meth:`values` noted are checked,
+        in the order a whole decoded file was checked in.
         """
         nx, ny, nz = self.dims
         slab = nx * ny * self._dtype.itemsize
@@ -409,7 +454,7 @@ class _VolumeFile:
                     f"{self.path}: payload has {z0 * slab + len(buf)} bytes, "
                     f"header promises {nz * slab}"
                 )
-            yield z0, np.frombuffer(buf, dtype=self._dtype).reshape((nx, ny, k), order="F")
+            yield z0, buf, self._stream.nonzero
             del buf  # so the consumer's drop frees the chunk before the next is inflated
         self._stream.drain()
         _check_spacing(self.spacing, self.path)
@@ -426,7 +471,7 @@ def load_volume(path: str | Path) -> LabelVolume:
     """
     src = _VolumeFile(path)
     # the whole file is validated before the declared grid is allocated
-    chunks = [(z0, src.values(stored)) for z0, stored in src.chunks()]
+    chunks = [(z0, src.values(src.stored(buf))) for z0, buf, _ in src.chunks()]
     data = np.empty(src.dims, dtype=src.dtype, order="F")
     for z0, values in chunks:
         data[:, :, z0 : z0 + values.shape[2]] = values
@@ -569,47 +614,54 @@ def binarize(vol: LabelVolume, rule: BinarizeRule) -> BinaryMask:
 def _nonzero_box(a: np.ndarray) -> tuple[slice, slice, slice] | None:
     """The box of the items of ``a`` whose bits are not all zero; None if none are.
 
-    It finds both boxes of a chunk: that of its nonzero stored voxels and
-    that of the members among them (a bool array views as ``u1``). The
-    reductions run on an unsigned view of the same item size: first per
-    z-slab, which skips an empty chunk after one pass, then per x and per y
-    over the footprint of the occupied slabs.
+    It finds both boxes of a chunk that holds data: that of its nonzero
+    stored voxels and that of the members among them (a bool array views as
+    ``u1``). The reductions run on an unsigned view of the same item size:
+    the footprint (``max`` over z) in one pass over ``a``, then x and y on
+    the footprint, then z on the box alone.
     """
     bits = a.view(f"u{a.itemsize}")
-    zs = np.flatnonzero(bits.max(axis=(0, 1), initial=0))
-    if not zs.size:
-        return None
-    footprint = bits[:, :, zs[0] : zs[-1] + 1].max(axis=2)
+    footprint = bits.max(axis=2)
     xs = np.flatnonzero(footprint.max(axis=1))
+    if not xs.size:
+        return None
     ys = np.flatnonzero(footprint[xs[0] : xs[-1] + 1].max(axis=0))
-    return tuple(slice(int(h[0]), int(h[-1]) + 1) for h in (xs, ys, zs))
+    x, y = (slice(int(h[0]), int(h[-1]) + 1) for h in (xs, ys))
+    zs = np.flatnonzero(bits[x, y].max(axis=(0, 1)))
+    return x, y, slice(int(zs[0]), int(zs[-1]) + 1)
 
 
 def _members(src: _VolumeFile, rule: BinarizeRule) -> BinaryMask:
     """The mask of the file ``src`` on the bounding box of its members, read chunk by chunk.
 
     The zero value goes through :meth:`_VolumeFile.values` and the rule
-    once, before the first chunk. Per chunk, only the :func:`_nonzero_box`
-    of its stored voxels goes through them, unless the zero value is itself
-    a member; then the box is the whole chunk. A copy of the
-    :func:`_nonzero_box` of the resulting flags is kept, and the kept boxes
-    are pasted into the box around them all. A file without members gets
-    an empty box at the grid corner.
+    once, before the first chunk. Unless it is itself a member, a chunk
+    whose bytes the inflater found all zero is dropped unviewed, and of any
+    other chunk only the :func:`_nonzero_box` of its stored voxels goes
+    through them; when it is a member, the box is the whole chunk. The
+    :func:`_nonzero_box` of the resulting flags is kept: the flags as they
+    are when it spans them, else a copy of it. The kept boxes are pasted
+    into the box around them all. A file without members gets an empty box
+    at the grid corner.
     """
     zero = src.values(np.zeros((1, 1, 1), src._dtype))
     whole = (slice(0, None),) * 3 if _apply_rule(zero, rule).any() else None
     pieces = []
-    for z0, stored in src.chunks():
-        box = whole or _nonzero_box(stored)
-        if box is not None:
-            bits = _apply_rule(src.values(stored[box]), rule)
-            tight = _nonzero_box(bits)
-            if tight is not None:
-                x, y, z = (b.start + t.start for b, t in zip(box, tight))
-                # a copy, so the chunk's flags are freed
-                pieces.append(((x, y, z0 + z), bits[tight].copy()))
-            del bits
-        del stored  # freed before the next chunk is inflated
+    for z0, buf, nonzero in src.chunks():
+        if nonzero or whole:  # zero bytes hold the zero value alone, a non-member
+            stored = src.stored(buf)
+            box = whole or _nonzero_box(stored)
+            if box is not None:
+                bits = _apply_rule(src.values(stored[box]), rule)
+                tight = _nonzero_box(bits)
+                if tight is not None:
+                    x, y, z = (b.start + t.start for b, t in zip(box, tight))
+                    if bits[tight].shape != bits.shape:  # a copy, so the larger flags are freed
+                        bits = bits[tight].copy()
+                    pieces.append(((x, y, z0 + z), bits))
+                del bits
+            del stored
+        del buf  # freed before the next chunk is inflated
     origin = end = (0, 0, 0)
     if pieces:
         origin = tuple(min(c[i] for c, _ in pieces) for i in range(3))

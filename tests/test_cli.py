@@ -366,6 +366,7 @@ _MANIFEST_HEADER = b"subject,method,structure,auto,manual\n"
 _MANIFEST_ROW = b"s1,alpha,left,v.rawvol,v.rawvol\n"
 _MANIFEST_JSON = json.dumps({"subject": "s1", "method": "alpha", "structure": "left",
                              "auto": "v.rawvol", "manual": "v.rawvol"}).encode() + b"\n"
+_LONG_CELL = b"a" * 200_000  # above the csv module's default field size limit, 131,072
 
 
 @pytest.mark.parametrize(
@@ -377,21 +378,25 @@ _MANIFEST_JSON = json.dumps({"subject": "s1", "method": "alpha", "structure": "l
         ("m.jsonl", _BOM + _MANIFEST_JSON, 0, None),
         ("m.csv", _MANIFEST_HEADER + _MANIFEST_ROW.replace(b"s1", b"s\xff1"), 1,
          "MalformedRow: manifest is not UTF-8 text"),
+        ("m.csv", _MANIFEST_HEADER + _MANIFEST_ROW.replace(b"v.rawvol,", _LONG_CELL + b",", 1),
+         1, "MalformedRow: row 2: field larger than field limit"),
         ("metrics.csv", b"bom", 0, None),
         ("metrics.csv", b"0xff", 1, "MalformedCsv:"),
+        ("metrics.csv", b"long", 1, "MalformedCsv: metrics.csv: row 2: field larger than"),
     ],
     ids=["csv_header_only", "jsonl_empty", "csv_bom", "jsonl_bom", "csv_0xff_byte",
-         "metrics_bom", "metrics_0xff_byte"],
+         "csv_long_cell", "metrics_bom", "metrics_0xff_byte", "metrics_long_cell"],
 )
 def test_manifest_and_metrics_text_end_in_an_exit_code_not_a_traceback(
     tmp_path, name, data, code, typed
 ):
-    # a byte-order mark is read past; an empty manifest or undecodable bytes
-    # are a typed input error, exit 1
+    # a byte-order mark is read past; an empty manifest, undecodable bytes or
+    # a cell too long for the csv module are a typed input error, exit 1
     write_rawvol(tmp_path / "v.rawvol", sphere_bits((8, 8, 8), (4, 4, 4), 2).astype(np.uint8))
     if name == "metrics.csv":
         text = _two_method_csv().encode()
-        data = _BOM + text if data == b"bom" else text.replace(b"\ns1,", b"\ns\xff1,", 1)
+        data = {b"bom": _BOM + text, b"0xff": text.replace(b"\ns1,", b"\ns\xff1,", 1),
+                b"long": text.replace(b",alpha,", b"," + _LONG_CELL + b",", 1)}[data]
         argv = ["anova", name, "dice"]
     else:
         argv = ["evaluate", name, "out"]

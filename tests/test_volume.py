@@ -530,6 +530,26 @@ def test_binarizing_follows_the_structure_not_the_grid(tmp_path):
     assert peak < auto.nbytes / 2**20
 
 
+def test_a_chunk_of_zero_bytes_is_never_boxed(tmp_path):
+    # the inflater's CRC test already saw each empty chunk's bytes; a member
+    # boundary falls inside a chunk that holds data
+    dims = (64, 64, 40)
+    grid = _ball_grid(dims, (30, 30, 20), 6)
+    path = write_nifti(tmp_path / "v.nii.gz", grid, members=3)
+    stored = []  # the zero test of each stored chunk the spy is given
+    real = volume_module._nonzero_box
+
+    def spy(a):
+        if a.dtype != bool:
+            stored.append(bool(a.any()))
+        return real(a)
+
+    with mock.patch.object(volume_module, "_nonzero_box", spy):
+        mask, _ = load_mask_pair(path, path, BinarizeRule.nonzero())
+    assert mask.count == grid.sum()
+    assert stored == [True] * len(_nonzero_boxes(grid, volume_module._CHUNK_SLABS))
+
+
 @pytest.mark.parametrize("reader", ["chunks", "members"])
 def test_a_decode_drops_each_chunk_before_it_inflates_the_next(tmp_path, reader):
     # zlib joins its output blocks at the end of each inflate, so a chunk
@@ -539,8 +559,9 @@ def test_a_decode_drops_each_chunk_before_it_inflates_the_next(tmp_path, reader)
     chunk_mib = dims[0] * dims[1] * volume_module._CHUNK_SLABS / 2**20
 
     def read(src):
-        for _z0, stored in src.chunks():
-            del stored
+        for _z0, buf, _nonzero in src.chunks():
+            stored = src.stored(buf)
+            del buf, stored
 
     def members(src):
         volume_module._members(src, BinarizeRule.nonzero())
@@ -882,8 +903,8 @@ def test_crc32_equals_zlib_s_for_zero_and_mixed_data(length, crc, nonzero):
     data = bytearray(length)
     for at, value in nonzero:
         data[at % length] = value
-    assert volume_module._crc32(bytes(data), crc) == zlib.crc32(data, crc)
-    assert volume_module._zeros_shift.cache_info().maxsize is not None
+    assert volume_module._crc32(bytes(data), crc) == (zlib.crc32(data, crc), any(data))
+    assert volume_module._zeros_tables.cache_info().maxsize is not None
 
 
 def _spoiled_member(defect: str) -> bytes:
@@ -1038,9 +1059,61 @@ def _ball_pair_across_chunks():
     return pair, "none", True, write, BinarizeRule.nonzero(), 4
 
 
+def _member_boundary_in_a_chunk():
+    """A gzip member boundary at payload byte 400, inside the first 4-slab
+    chunk: zeros before it and data after it in the automatic file, data
+    before it and zeros after it in the manual one. The second chunk is
+    zero in both."""
+    dims = (12, 12, 8)  # 144-byte slabs; 1504 bytes in all, cut in half
+    auto, manual = np.zeros(dims, np.uint8), np.zeros(dims, np.uint8)
+    auto[5, 10, 2] = auto[4, 4, 3] = 1  # payload bytes 413 and 484
+    manual[1, 1, 0] = manual[3, 4, 2] = 1  # payload bytes 13 and 339
+    write = {"members": 2, "byteorder": "<", "vox_offset": 352,
+             "scl_slope": 0.0, "scl_inter": 0.0}
+    return [auto, manual], "none", True, write, BinarizeRule.nonzero(), 4
+
+
+def _payload_in_the_rawvol_prefix():
+    """Payload bytes held from the 4 KiB rawvol header prefix: one-slab
+    chunks of 1600 bytes, the first two held whole and the third in part."""
+    dims = (40, 40, 8)
+    auto, manual = np.zeros(dims, np.uint8), np.zeros(dims, np.uint8)
+    auto[3, 3, 1] = auto[5, 10, 2] = 1  # held, as is the rest of their chunks
+    manual[0, 0, 0] = manual[5, 30, 2] = manual[7, 7, 5] = 1  # inflated after the prefix
+    return [auto, manual], "none", False, {"members": 1}, BinarizeRule.nonzero(), 1
+
+
+def _negative_zero_voxels():
+    """float32 -0.0 voxels, whose stored bits are not zero, fill a whole
+    chunk of the automatic file; they are no member under ``nonzero``."""
+    dims = (6, 5, 8)
+    auto = np.zeros(dims, np.float32)
+    auto[:, :, 4:] = -0.0
+    auto[2, 2, 1] = 3.0
+    manual = sphere_bits(dims, (3, 2, 3), 2).astype(np.float32)
+    write = {"members": 1, "byteorder": ">", "vox_offset": 352,
+             "scl_slope": 0.0, "scl_inter": 0.0}
+    return [auto, manual], "-0.0", True, write, BinarizeRule.nonzero(), 4
+
+
+def _zero_members_in_a_zero_chunk():
+    """``equals(0)`` on files whose second chunk is all zero: every voxel of
+    it is a member, so it cannot be dropped."""
+    dims = (6, 5, 8)
+    pair = [2 * sphere_bits(dims, (3, 2, 1), 1).astype(np.uint8),
+            sphere_bits(dims, (2, 2, 2), 1).astype(np.uint8)]
+    write = {"members": 1, "byteorder": "<", "vox_offset": 352,
+             "scl_slope": 0.0, "scl_inter": 0.0}
+    return pair, "none", True, write, BinarizeRule.equals(0), 4
+
+
 @settings(max_examples=150, deadline=None)
 @given(_encoded_pairs())
 @example(_ball_pair_across_chunks())
+@example(_member_boundary_in_a_chunk())
+@example(_payload_in_the_rawvol_prefix())
+@example(_negative_zero_voxels())
+@example(_zero_members_in_a_zero_chunk())
 def test_streamed_pair_equals_the_full_grid_route(example):
     (auto, manual), special, nifti, write, rule, slabs = example
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
