@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -28,6 +29,7 @@ from .errors import (
     DuplicateCase,
     EmptySubgroup,
     MalformedRow,
+    NonFiniteMetric,
     UnknownStructure,
 )
 from .overlap import (
@@ -306,7 +308,7 @@ def _record_from_masks(
     surf = compare_surfaces(
         mask_a, mask_m, space=config.space, connectivity=config.connectivity
     )
-    return MetricRecord(
+    record = MetricRecord(
         subject=case.subject_id,
         method=case.method,
         structure=case.structure,
@@ -325,6 +327,11 @@ def _record_from_masks(
         v_auto=v_auto,
         v_manual=v_manual,
     )
+    for name in ("v_auto", "v_manual", *METRIC_NAMES):  # an overflowing volume first
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise NonFiniteMetric(f"{name} is {value}, not a finite number")
+    return record
 
 
 def _error_record(case: CaseSpec, config: EvalConfig, e: BaseException) -> MetricRecord:

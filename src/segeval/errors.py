@@ -96,6 +96,11 @@ class EmptySurface(MetricError):
     """Distance field / surface metrics require a nonempty point set."""
 
 
+class NonFiniteMetric(MetricError):
+    """A metric or volume of a case came out infinite or NaN, as when a
+    spacing is so large that products of it overflow."""
+
+
 class AllCasesFailed(MetricError):
     """Every case in a cohort evaluation errored."""
 

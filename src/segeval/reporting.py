@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass
@@ -161,6 +162,17 @@ def _data_lines(text: str) -> list[str]:
     return lines[start:]
 
 
+def _number(row: dict[str, str], column: str) -> float | None:
+    """A numeric cell of a metrics CSV row: None if blank, else a finite float."""
+    cell = row[column]
+    if cell == "":
+        return None
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"{column} {cell!r} is not finite")
+    return value
+
+
 def read_metrics_csv(path: str | Path) -> list[MetricRecord]:
     """Parse a metrics.csv produced by this package back into records.
 
@@ -187,9 +199,7 @@ def read_metrics_csv(path: str | Path) -> list[MetricRecord]:
                 raise MalformedCsv(
                     f"{path}: row {row_no}: status {row['status']!r} is not ok or error"
                 )
-            metrics = {
-                m: (float(row[m]) if row[m] != "" else None) for m in METRIC_NAMES
-            }
+            metrics = {m: _number(row, m) for m in METRIC_NAMES}
             blank = [m for m, v in metrics.items() if v is None]
             if blank and row["status"] == "ok":
                 raise MalformedCsv(
@@ -204,8 +214,8 @@ def read_metrics_csv(path: str | Path) -> list[MetricRecord]:
                     space=row["space"],
                     status=row["status"],
                     error=row["error"] or None,
-                    v_auto=float(row["v_auto"]) if row["v_auto"] else None,
-                    v_manual=float(row["v_manual"]) if row["v_manual"] else None,
+                    v_auto=_number(row, "v_auto"),
+                    v_manual=_number(row, "v_manual"),
                     **metrics,
                 )
             )

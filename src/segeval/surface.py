@@ -13,23 +13,15 @@ the bounding box of the two surfaces (:func:`_nearest_distances`).
 |S_A|·|S_R| pairwise distances; it is the oracle the route is tested
 against, and no production path calls it.
 
-The route's values are those of an exact Euclidean distance transform.
-The transform is separable: one pass per axis, each setting
-``out[i] = min over |k| ≤ w of f[i±k] + step²·k·k`` for a window w. After
-the three passes every squared distance below T = min(step²)·(w+1)² is
-exact, and every other value is an overestimate at or above T. With
-w ≥ max(dims) − 1 the windows span the grid and every value is exact, so
-a windowed round whose window spans its box settles every query.
-Each value is then the minimum over sites of
-``(h0·k0·k0 + h1·k1·k1) + h2·k2·k2`` (h = step²), because float rounding
-is monotone: a minimum plus a constant is the minimum of the sums.
-
-Surfaces of overlapping structures lie a few voxels apart, so the route
-works at the query voxels, in the three stages :func:`_nearest_distances`
-sets out, each computing that same expression. A far-away false-positive
-island voxel is one leftover query, finished by its brute-force stage at
-the cost of |sites| terms, not by windows grown to its distance over the
-whole box.
+Each value is the minimum over sites of
+``(h0·k0·k0 + h1·k1·k1) + h2·k2·k2`` (h = step², k the offset in voxels),
+what an exact separable Euclidean distance transform gives, as float
+rounding is monotone. Surfaces of overlapping structures lie a few voxels
+apart, so the route works at the query voxels, in the two stages that
+:func:`_nearest_distances` sets out. A query that the short-range stage
+leaves over, such as a far false-positive island voxel, is finished
+against the sites grouped by tile, searching only the groups whose boxes
+could hold a nearer site.
 """
 
 from __future__ import annotations
@@ -46,8 +38,10 @@ from .volume import BinaryMask
 # reach R of the distance-order search, in voxels per axis: it settles every
 # squared distance below T = min(step²)·(R+1)²
 _REACH = 4
-# brute-force chunk: query rows × sites per block of squared distances
-_BRUTE_CHUNK = 1 << 20
+# site-group edge of the leftover search: 8 was slower on far balls, 16 on speckle
+_TILE = 12
+# entries per temporary of the leftover search (2 MiB of float64)
+_BUDGET = 1 << 18
 
 _OFFSETS_6 = [
     (1, 0, 0), (-1, 0, 0),
@@ -130,83 +124,38 @@ def extract_surface(
     return SurfacePointSet(indices=at.T, space=space, spacing=mask.spacing)
 
 
-def _window_pass(f: np.ndarray, axis: int, w: int, h2: float) -> np.ndarray:
-    """out[i] = min over |k| ≤ w of f[i±k] + h2·k·k along one axis.
-
-    Runs as 2·w shifted ``np.minimum`` updates over the whole array. In
-    index space h2 = 1 and f holds integers, so every value is an exact
-    integer.
-    """
-    out = f.copy()
-    fv = np.moveaxis(f, axis, 0)
-    ov = np.moveaxis(out, axis, 0)
-    for k in range(1, min(w, fv.shape[0] - 1) + 1):
-        c = h2 * k * k
-        np.minimum(ov[k:], fv[:-k] + c, out=ov[k:])
-        np.minimum(ov[:-k], fv[k:] + c, out=ov[:-k])
-    return out
-
-
-def _window_sample(g: np.ndarray, at: np.ndarray, w: int, h2: float) -> np.ndarray:
-    """The last-axis :func:`_window_pass` of ``g``, evaluated only at ``at``.
-
-    A shift past the grid edge is clamped to the edge voxel: that candidate
-    is no lower than the edge voxel's own, which the window already holds.
-    """
-    x, y, z = at[:, 0], at[:, 1], at[:, 2]
-    top = g.shape[2] - 1
-    vals = g[x, y, z]
-    for k in range(1, min(w, top) + 1):
-        c = h2 * k * k
-        np.minimum(vals, g[x, y, np.minimum(z + k, top)] + c, out=vals)
-        np.minimum(vals, g[x, y, np.maximum(z - k, 0)] + c, out=vals)
-    return vals
-
-
-def _squared_edt(sites: np.ndarray, steps: tuple[float, ...], w: int) -> np.ndarray:
-    """Squared Euclidean distance to the nearest True voxel, window w per axis.
-
-    One pass per given step, along the leading axes; with two steps the
-    last axis is left for :func:`_window_sample`.
-
-    Every entry whose true value is below T = min(step²)·(w+1)² is exact;
-    every other entry is an overestimate at or above T (inf where no site
-    lies within the window). With w ≥ max(dims) − 1 the windows cover the
-    grid and every entry is exact.
-    """
-    d = np.where(sites, 0.0, np.inf)
-    for axis, step in enumerate(steps):
-        d = _window_pass(d, axis, w, step * step)
-    return d
-
-
 def _axis_terms(h2: float, n: int) -> np.ndarray:
-    """``h2 * k * k`` for k = 0..n-1, as :func:`_window_pass` adds it.
-
-    k = 0 adds nothing there, so its term is 0 even where h2 is inf.
-    """
+    """``h2 * k * k`` for k = 0..n-1, with 0 at k = 0 even where h2 is inf."""
     k = np.arange(1, n)
     return np.concatenate([[0.0], h2 * k * k])
 
 
+def _sum_terms(terms: list[np.ndarray], gaps) -> np.ndarray:
+    """``(t0[g0] + t1[g1]) + t2[g2]`` over the per-axis gap arrays, made one at a time."""
+    gaps = iter(gaps)
+    d2 = terms[0][next(gaps)]
+    d2 += terms[1][next(gaps)]
+    d2 += terms[2][next(gaps)]
+    return d2
+
+
 @functools.lru_cache(maxsize=16)
 def _offset_levels(h2: tuple[float, float, float]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Offsets below the first-round bound, grouped by squared length, ascending.
+    """Offsets below the distance-order search's bound, by squared length, ascending.
 
     Built once per exact ``h2`` and shared by later calls, so every array
     is read-only.
 
     The bound is T = min(h2)·(R+1)² with R = ``_REACH``. A length is summed
-    as the window passes sum it, ``(t0 + t1) + t2`` with the terms of
-    :func:`_axis_terms`, so a level's value is bit for bit the transform's
-    value for its offsets. An offset with |k| > R on some axis adds at
-    least T there, so the table misses none.
+    by :func:`_sum_terms` from the terms of :func:`_axis_terms`, as the
+    leftover search sums it, so a level's value is bit for bit that
+    search's value for its offsets. An offset with |k| > R on some axis
+    adds at least T there, so the table misses none.
     """
     terms = [_axis_terms(h, _REACH + 1) for h in h2]
     span = np.arange(-_REACH, _REACH + 1)
     k = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
-    a = np.abs(k)
-    value = (terms[0][a[:, 0]] + terms[1][a[:, 1]]) + terms[2][a[:, 2]]
+    value = _sum_terms(terms, np.abs(k).T)
     keep = value < min(h2) * (_REACH + 1) * (_REACH + 1)
     k, value = k[keep], value[keep]
     order = np.argsort(value, kind="stable")
@@ -217,23 +166,63 @@ def _offset_levels(h2: tuple[float, float, float]) -> tuple[np.ndarray, tuple[np
     return levels, offsets
 
 
-def _bruteforce_squared(
-    sites: np.ndarray, queries: np.ndarray, terms: list[np.ndarray]
-) -> np.ndarray:
-    """Squared distance from each query to its nearest site, over every site.
+def _tile_key(p: np.ndarray) -> np.ndarray:
+    """The ``_TILE``-cube of each row of ``p``, as one flat index."""
+    tile = p // _TILE
+    return np.ravel_multi_index(tile.T, tuple(tile.max(axis=0) + 1))
 
-    Sums the per-axis ``terms`` (indexed by |offset|) in the window
-    passes' order, so each value equals what a window spanning the grid
-    gives.
+
+def _lower(
+    best: np.ndarray, q: np.ndarray, sel: np.ndarray, group: np.ndarray, terms: list[np.ndarray]
+) -> None:
+    """Lower ``best[sel]`` to the squared distance from query ``q[:, sel]`` to
+    the nearest of the ``group`` sites (3, n), ``_BUDGET`` distances at a time."""
+    rows = max(1, _BUDGET // group.shape[1])
+    for first in range(0, sel.size, rows):
+        at = sel[first : first + rows]
+        gaps = (np.abs(q[axis, at, None] - group[axis]) for axis in range(3))
+        best[at] = np.minimum(best[at], _sum_terms(terms, gaps).min(axis=1))
+
+
+def _tile_search(sites: np.ndarray, queries: np.ndarray, terms: list[np.ndarray]) -> np.ndarray:
+    """Squared distance from each query to its nearest site, by :func:`_sum_terms`.
+
+    Sites are grouped by tile. A group's box gives each query a lower bound,
+    the same sum of its gaps to the box, as terms grow with |offset| and
+    float sums are monotone. Each query of a block first searches the group
+    of its least bound; the block then visits the groups in order of least
+    bound, searches one only for the queries whose best exceeds their bound,
+    and stops once no group still to come has a bound below the block's
+    largest best. So each value is a minimum over all sites. A temporary
+    holds at most ``_BUDGET`` entries, or one query's bounds.
     """
+    # one group when every distance fits the budget at once
+    key = _tile_key(sites) * (queries.shape[0] * sites.shape[0] > _BUDGET)
+    order = np.argsort(key)
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    ends = np.append(starts[1:], order.size)
+    cols = sites[order].T.copy()  # (3, sites): each group's columns are contiguous
+    lo, hi = np.minimum.reduceat(cols, starts, axis=1), np.maximum.reduceat(cols, starts, axis=1)
+    by_tile = np.argsort(_tile_key(queries))  # so that a block's queries lie close together
     out = np.empty(queries.shape[0])
-    rows = max(1, _BRUTE_CHUNK // sites.shape[0])
-    for start in range(0, queries.shape[0], rows):
-        block = queries[start : start + rows]
-        d2 = terms[0][np.abs(block[:, None, 0] - sites[None, :, 0])]
-        for axis in (1, 2):
-            d2 += terms[axis][np.abs(block[:, None, axis] - sites[None, :, axis])]
-        out[start : start + block.shape[0]] = d2.min(axis=1)
+    rows = max(1, _BUDGET // starts.size)
+    for first in range(0, by_tile.size, rows):
+        at = by_tile[first : first + rows]
+        q = queries[at].T
+        # (groups, block): no site of a group lies nearer to a query than its box
+        gaps = (np.abs(q[a] - np.clip(q[a], lo[a, :, None], hi[a, :, None])) for a in range(3))
+        bound = _sum_terms(terms, gaps)
+        best = np.full(at.size, np.inf)
+        near = bound.argmin(axis=0)
+        for g in np.unique(near):
+            _lower(best, q, np.flatnonzero(near == g), cols[:, starts[g] : ends[g]], terms)
+        bound[near, np.arange(at.size)] = np.inf  # searched
+        least = bound.min(axis=1)
+        for g in np.argsort(least, kind="stable"):
+            if least[g] >= best.max():
+                break
+            _lower(best, q, np.flatnonzero(bound[g] < best), cols[:, starts[g] : ends[g]], terms)
+        out[at] = best
     return out
 
 
@@ -246,31 +235,23 @@ def _nearest_distances(
     """Exact distance from each query voxel to the nearest site voxel.
 
     Every value is the minimum over sites of the float expression
-    ``(h0·k0·k0 + h1·k1·k1) + h2·k2·k2`` with h = step², the value a
-    window pass spanning the box gives. Three stages reach it:
+    ``(h0·k0·k0 + h1·k1·k1) + h2·k2·k2`` with h = step², in two stages:
 
     1. Search in distance order: offsets below T = min(h)·(R+1)², R = 4,
        sorted into levels of equal value. Each level is one gather over the
        unsettled queries on the site grid padded by R voxels; the first
        level with a site settles the query at that level's value. A query
        with no site below T is left over.
-    2. When |left|·|sites| is at most the voxel count of the next windowed
-       round's box, every leftover is finished by brute force over all
-       sites with the same expression.
-    3. Otherwise one windowed round runs with w = 2R, then doubled, on the
-       box around the leftovers widened by w, and keeps each value below
-       min(h)·(w+1)²: a site outside that box is at least w+1 voxels away
-       along some axis, so it cannot undercut the bound. Stage 2 is
-       checked again before each round. A window spanning the box settles
-       every value.
+    2. :func:`_tile_search` finishes every leftover against the sites
+       grouped by tile, skipping each group whose box lies no nearer than
+       the query's best so far.
 
-    Float rounding is monotone, so a minimum plus a constant is the minimum
-    of the sums; each stage therefore gives the same bits as the spanning
-    window.
+    Both stages take a minimum of that same expression over a set of sites
+    that holds the nearest one, so every value has the same bits as the
+    minimum over all sites.
     """
     h2 = tuple(step * step for step in steps)
     padded = np.zeros(tuple(n + 2 * _REACH for n in dims), dtype=bool)
-    grid = padded[_REACH:-_REACH, _REACH:-_REACH, _REACH:-_REACH]
     flat = padded.ravel()
     s1 = padded.shape[2]
     s0 = padded.shape[1] * s1
@@ -296,31 +277,9 @@ def _nearest_distances(
         if todo.size == 0:
             break
     todo = np.concatenate([todo, np.flatnonzero(~near)])
-    top = np.asarray(dims) - 1
-    full = int(top.max())
-    h2_min = min(h2)
-    w = 2 * _REACH
-    while todo.size:
-        w = min(w, full)
-        lo = np.maximum(queries[todo].min(axis=0) - w, 0)
-        hi = np.minimum(queries[todo].max(axis=0) + w, top)
-        if todo.size * sites.shape[0] <= math.prod(int(n) for n in hi - lo + 1):
-            terms = [_axis_terms(h, n) for h, n in zip(h2, dims)]
-            out[todo] = _bruteforce_squared(sites, queries[todo], terms)
-            break
-        box = tuple(slice(int(l), int(h) + 1) for l, h in zip(lo, hi))
-        g = _squared_edt(grid[box], steps[:2], w)
-        vals = _window_sample(g, queries[todo] - lo, w, h2[2])
-        if w == full:  # the window spans the box: every value is exact, inf too
-            out[todo] = vals
-            break
-        # a candidate outside the window adds at least h2·(w+1)·(w+1) on its
-        # axis; float products and sums are monotone, so T computed the same
-        # way bounds it exactly in floats too
-        done = vals < h2_min * (w + 1) * (w + 1)
-        out[todo[done]] = vals[done]
-        todo = todo[~done]
-        w *= 2
+    if todo.size:
+        terms = [_axis_terms(h, n) for h, n in zip(h2, dims)]
+        out[todo] = _tile_search(sites, queries[todo], terms)
     return np.sqrt(out)
 
 

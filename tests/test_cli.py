@@ -86,6 +86,33 @@ class TestMetricsCommand:
         assert main(["metrics", a, m, "--space", "physical"]) == 0
         assert json.loads(capsys.readouterr().out)["space"] == "physical"
 
+    @pytest.mark.parametrize(
+        "spacing, flags, message",
+        [((1e200, 1e200, 1e200), [], "v_auto is inf"),
+         ((1e160, 1.0, 1.0), ["--space", "physical"], "hausdorff is inf")],
+        ids=["volume_overflows", "distance_overflows"],
+    )
+    def test_a_non_finite_metric_exit_2(self, tmp_path, capsys, spacing, flags, message):
+        a, m = _shifted_balls(tmp_path, spacing)
+        assert main(["metrics", a, m, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"NonFiniteMetric: {message}, not a finite number")
+
+    def test_huge_spacing_counted_in_voxels_stays_ok(self, tmp_path, capsys):
+        a, m = _shifted_balls(tmp_path, (1e200, 1e200, 1e200))
+        assert main(["metrics", a, m, "--unit", "voxels"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "ok" and record["v_auto"] == record["v_manual"] > 0
+
+
+def _shifted_balls(root, spacing):
+    """An automatic and a manual ball one voxel apart along x, at ``spacing``."""
+    dims = (10, 10, 10)
+    a = write_rawvol(root / "a.rawvol", sphere_bits(dims, (6, 5, 5), 3).astype(np.uint8), spacing)
+    m = write_rawvol(root / "m.rawvol", sphere_bits(dims, (5, 5, 5), 3).astype(np.uint8), spacing)
+    return str(a), str(m)
+
 
 class TestEvaluateCommand:
     def test_writes_all_artifacts(self, tmp_path, capsys):
@@ -183,6 +210,19 @@ class TestEvaluateCommand:
         assert rows["beta"].status == "error"
         assert rows["beta"].error.startswith("BrokenProcessPool: ")
         assert rows["alpha"].status == rows["gamma"].status == "ok"
+
+    def test_a_non_finite_metric_becomes_an_error_row(self, tmp_path, capsys):
+        manifest = build_cohort(tmp_path, n_subjects=1, structures=("left_hippocampus",))
+        row = manifest.read_text().splitlines()[-1].split(",")
+        row[0], row[3], row[4] = ("huge", *_shifted_balls(tmp_path, (1e200, 1e200, 1e200)))
+        manifest.write_text(manifest.read_text() + ",".join(row) + "\n")
+        out = tmp_path / "out"
+        assert main(["evaluate", str(manifest), str(out), "--threads", "1"]) == 0
+        assert "3/4 cases ok" in capsys.readouterr().out
+        rows = {r.subject: r for r in read_metrics_csv(out / "metrics.csv")}
+        assert rows["huge"].status == "error"
+        assert rows["huge"].error == "NonFiniteMetric: v_auto is inf, not a finite number"
+        assert (out / "run_manifest.json").exists()
 
     def test_config_comment_present(self, tmp_path, capsys):
         manifest = build_cohort(tmp_path / "cohort", n_subjects=1)
@@ -383,21 +423,34 @@ _LONG_CELL = b"a" * 200_000  # above the csv module's default field size limit, 
         ("metrics.csv", b"bom", 0, None),
         ("metrics.csv", b"0xff", 1, "MalformedCsv:"),
         ("metrics.csv", b"long", 1, "MalformedCsv: metrics.csv: row 2: field larger than"),
+        ("metrics.csv", b"nan", 1, "MalformedCsv: metrics.csv: row 2: dice 'nan' is not finite"),
+        ("metrics.csv", b"inf", 1, "MalformedCsv: metrics.csv: row 2: dice 'inf' is not finite"),
+        ("metrics.csv", b"nan subgroup", 1,
+         "MalformedCsv: metrics.csv: row 2: dice 'nan' is not finite"),
+        ("metrics.csv", b"inf subgroup", 1,
+         "MalformedCsv: metrics.csv: row 2: dice 'inf' is not finite"),
     ],
     ids=["csv_header_only", "jsonl_empty", "csv_bom", "jsonl_bom", "csv_0xff_byte",
-         "csv_long_cell", "metrics_bom", "metrics_0xff_byte", "metrics_long_cell"],
+         "csv_long_cell", "metrics_bom", "metrics_0xff_byte", "metrics_long_cell",
+         "metrics_nan", "metrics_inf", "subgroup_nan", "subgroup_inf"],
 )
 def test_manifest_and_metrics_text_end_in_an_exit_code_not_a_traceback(
     tmp_path, name, data, code, typed
 ):
-    # a byte-order mark is read past; an empty manifest, undecodable bytes or
-    # a cell too long for the csv module are a typed input error, exit 1
+    # a byte-order mark is read past; an empty manifest, undecodable bytes,
+    # a cell too long for the csv module or a non-finite number are a typed
+    # input error, exit 1. A metrics file goes to `anova` unless it names
+    # `subgroup`.
     write_rawvol(tmp_path / "v.rawvol", sphere_bits((8, 8, 8), (4, 4, 4), 2).astype(np.uint8))
     if name == "metrics.csv":
         text = _two_method_csv().encode()
+        dice = b",1.5T,0.5000,0.5000,"  # the first row's hausdorff and dice cells
+        kind, _, command = data.partition(b" ")
         data = {b"bom": _BOM + text, b"0xff": text.replace(b"\ns1,", b"\ns\xff1,", 1),
-                b"long": text.replace(b",alpha,", b"," + _LONG_CELL + b",", 1)}[data]
-        argv = ["anova", name, "dice"]
+                b"long": text.replace(b",alpha,", b"," + _LONG_CELL + b",", 1),
+                b"nan": text.replace(dice, b",1.5T,0.5000,nan,", 1),
+                b"inf": text.replace(dice, b",1.5T,0.5000,inf,", 1)}[kind]
+        argv = ["subgroup", name] if command == b"subgroup" else ["anova", name, "dice"]
     else:
         argv = ["evaluate", name, "out"]
     (tmp_path / name).write_bytes(data)

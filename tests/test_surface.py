@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -34,11 +35,47 @@ def _mask_of(points, dims, spacing=(1.0, 1.0, 1.0)):
 
 
 def _spanning_field(sites, dims, steps=(1.0, 1.0, 1.0)):
-    """Distance from every voxel to the nearest of the ``sites`` indices: the
-    windowed transform with a window spanning the grid, so every value is exact."""
-    grid = np.zeros(dims, dtype=bool)
-    grid[tuple(np.asarray(sites).T)] = True
-    return np.sqrt(surface._squared_edt(grid, steps, max(dims) - 1))
+    """Distance from every voxel to the nearest of the ``sites`` indices.
+
+    The separable transform: one pass per axis sets
+    ``out[i] = min over k of f[i±k] + step²·k·k``, with k spanning the grid,
+    so every value is exact.
+    """
+    d2 = np.full(dims, np.inf)
+    d2[tuple(np.asarray(sites).T)] = 0.0
+    for axis, step in enumerate(steps):
+        h2 = step * step
+        f = np.moveaxis(d2, axis, 0)
+        out = f.copy()
+        for k in range(1, f.shape[0]):
+            c = h2 * k * k
+            np.minimum(out[k:], f[:-k] + c, out=out[k:])
+            np.minimum(out[:-k], f[k:] + c, out=out[:-k])
+        d2 = np.moveaxis(out, 0, axis)
+    return np.sqrt(d2)
+
+
+def _plain_squared(sites, queries, steps):
+    """The minimum over every site of ``(h0·k0·k0 + h1·k1·k1) + h2·k2·k2``,
+    h = step², with a zero term where k = 0 even if h is inf."""
+    best = []
+    for first in range(0, len(queries), 256):
+        d2 = 0.0
+        for axis, step in enumerate(steps):
+            k = np.abs(queries[first : first + 256, axis, None] - sites[None, :, axis])
+            with np.errstate(invalid="ignore"):
+                d2 = d2 + np.where(k == 0, 0.0, step * step * k * k)
+        best.append(d2.min(axis=1))
+    return np.concatenate(best)
+
+
+def _beyond_reach(sites, queries, steps):
+    """The ``queries`` rows whose nearest site lies at T = min(step²)·(R+1)² or
+    beyond: those the distance-order search leaves over, in row-major order."""
+    reach = surface._REACH + 1
+    beyond = min(s * s for s in steps) * reach * reach  # T as the search computes it
+    left = queries[_plain_squared(sites, queries, steps) >= beyond]
+    return sorted(map(tuple, left.tolist()))
 
 
 def _must_not_run(route):
@@ -421,17 +458,20 @@ def _calls(monkeypatch, name):
     return calls
 
 
-def _edt_windows(monkeypatch):
-    """Record (box shape, window) of every windowed transform compare_surfaces runs."""
-    calls = []
-    real = surface._squared_edt
-
-    def spy(sites, steps, w):
-        calls.append((sites.shape, w))
-        return real(sites, steps, w)
-
-    monkeypatch.setattr(surface, "_squared_edt", spy)
-    return calls
+def _leftover_calls(mask_a, mask_r, space, monkeypatch):
+    """Run :func:`compare_surfaces` with a spy on the leftover search; return the
+    result, the query rows of each search call, and the rows each call should get:
+    per direction, the queries beyond the distance-order search's reach."""
+    s_a = extract_surface(mask_a, space=space)
+    s_r = extract_surface(mask_r, space=space)
+    lo = np.vstack([s_a.indices, s_r.indices]).min(axis=0)  # the box compare_surfaces uses
+    a, r = s_a.indices - lo, s_r.indices - lo
+    steps = mask_a.spacing if space == "physical" else (1.0, 1.0, 1.0)
+    expected = [_beyond_reach(sites, queries, steps) for sites, queries in ((r, a), (a, r))]
+    calls = _calls(monkeypatch, "_tile_search")
+    result = compare_surfaces(mask_a, mask_r, space=space)
+    got = [sorted(map(tuple, args[1].tolist())) for args in calls]
+    return result, got, [rows for rows in expected if rows]
 
 
 def _ball_with_outlier(dims, center, radius, outlier):
@@ -440,8 +480,8 @@ def _ball_with_outlier(dims, center, radius, outlier):
     return bits
 
 
-class TestWindowedTransform:
-    """The transform route against brute force where one window of 4 is not enough."""
+class TestLeftoverQueries:
+    """Pairs whose queries the distance-order search does not all settle."""
 
     DIMS = (48, 48, 48)
     CASES = {
@@ -462,46 +502,43 @@ class TestWindowedTransform:
     }
 
     def _check(self, monkeypatch, a_mask, r_mask, space="index"):
+        """Check the pair against brute force, and that exactly the queries
+        beyond stage 1's reach reach the leftover search; return the result and
+        the query rows of each search call."""
         oracle = surface_metrics_bruteforce(
             extract_surface(a_mask, space=space), extract_surface(r_mask, space=space)
         )
         monkeypatch.setattr(surface, "surface_metrics_bruteforce", _must_not_run("brute-force"))
-        windows = _edt_windows(monkeypatch)
-        engine = compare_surfaces(a_mask, r_mask, space=space)
+        engine, got, expected = _leftover_calls(a_mask, r_mask, space, monkeypatch)
         for name in ("hausdorff", "rms", "assd", "mean_distance", "directed_h_am", "directed_h_ma"):
             assert abs(getattr(engine, name) - getattr(oracle, name)) <= 1e-9
-        return engine, windows
+        assert got == expected
+        return engine, got
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_bruteforce(self, monkeypatch, case):
         a_bits, r_bits = self.CASES[case](self.DIMS)
-        leftovers = _calls(monkeypatch, "_bruteforce_squared")
-        _, windows = self._check(monkeypatch, make_mask(a_bits), make_mask(r_bits))
+        _, leftovers = self._check(monkeypatch, make_mask(a_bits), make_mask(r_bits))
         if case.startswith("outlier"):
-            # the search settles the balls; the lone outlier is finished by
-            # brute force, and no window round runs
-            assert windows == []
-            assert [len(args[1]) for args in leftovers] == [1]
+            # the search settles the balls; the lone outlier is left over
+            assert [len(rows) for rows in leftovers] == [1]
         else:
-            # the search settles nothing, so windowed rounds run from w = 8
-            assert windows[0][1] == 8
-            assert max(w for _, w in windows) > 8
+            # the search leaves queries over in both directions
+            assert len(leftovers) == 2
 
     def test_anisotropic_shift_in_physical_space(self, monkeypatch):
         dims = (30, 30, 30)
         spacing = (0.781, 0.9, 2.0)
         a_mask = make_mask(sphere_bits(dims, (14, 15, 14), 8), spacing)
         r_mask = make_mask(sphere_bits(dims, (15, 15, 16), 8), spacing)
-        _, windows = self._check(monkeypatch, a_mask, r_mask, space="physical")
-        assert max(w for _, w in windows) > 4
+        _, leftovers = self._check(monkeypatch, a_mask, r_mask, space="physical")
+        assert leftovers
 
     @pytest.mark.parametrize("gap", [5, 9])
     def test_plane_and_bump_against_a_plane(self, monkeypatch, gap):
-        # gap 5 = w+1 for the first window, which then holds no plane site.
-        # gap 9: the retry box x ∈ [1, 9] is spanned by w = 8 and holds the
-        # bump at x = 1, but the corner queries' nearest sites lie on the plane
-        # at x = 0, outside it; only a window spanning the whole box may
-        # settle them.
+        # gap 5 = R+1: no plane site lies within the search's reach. gap 9:
+        # the bump at x = 1 is the nearest site of the queries around it,
+        # but the corner queries' nearest sites lie on the plane at x = 0
         bits_a = np.zeros((gap + 1, 6, 6), dtype=bool)
         bits_a[0] = True
         bits_a[1, 5, 5] = True
@@ -518,15 +555,13 @@ def _field_values(sites, queries, dims, steps):
 
 @st.composite
 def _staged_queries(draw):
-    """Sites and queries that run all three stages of the nearest-site search.
+    """Sites and queries that run both stages of the nearest-site search.
 
     Along the first axis of an (nx, ny, nz) box, sites fill the plane x = 0
     and part of x = 1. Queries at x ≤ 8 lie at most 8 voxels from a site:
     those within 4 settle in the distance-order search. The full plane
-    x = 7 is left over, and |left|·|sites| ≥ (ny·nz)² exceeds the box, so
-    the w = 8 windowed round runs and settles it. One far query at
-    x = nx − 1 outlasts that round and is finished by brute force. The
-    first axis has the smallest step, so the rounds' bounds hold in
+    x = 7 and one far query at x = nx − 1 are left over. The first axis has
+    the smallest step, so the plane lies beyond the search's reach in
     physical space too. The axes are then permuted.
     """
     nx, ny, nz = draw(st.integers(31, 40)), draw(st.integers(7, 10)), draw(st.integers(7, 10))
@@ -548,41 +583,38 @@ def _staged_queries(draw):
 
 
 class TestNearestDistances:
-    """The three-stage nearest-site search against the full distance field."""
+    """The two-stage nearest-site search against the full distance field."""
 
     @settings(max_examples=40, deadline=None)
-    @given(_staged_queries(), st.sampled_from(("index", "physical")))
-    def test_equals_the_distance_field_bit_for_bit(self, example, space):
+    @given(
+        _staged_queries(), st.sampled_from(("index", "physical")), st.sampled_from((64, 1 << 18))
+    )
+    def test_equals_the_distance_field_bit_for_bit(self, example, space, budget):
         sites, queries, dims, steps = example
         if space == "index":
             steps = (1.0, 1.0, 1.0)
-        rounds, leftovers = [], []
-        real_sample, real_brute = surface._window_sample, surface._bruteforce_squared
+        leftovers = []
+        real = surface._tile_search
 
-        def sample(g, at, w, h2):
-            rounds.append((len(at), w))
-            return real_sample(g, at, w, h2)
+        def spy(sites_, queries_, terms):
+            leftovers.append(sorted(map(tuple, queries_.tolist())))
+            return real(sites_, queries_, terms)
 
-        def brute(sites_, queries_, terms):
-            leftovers.append(len(queries_))
-            return real_brute(sites_, queries_, terms)
-
-        with mock.patch.object(surface, "_window_sample", sample), mock.patch.object(
-            surface, "_bruteforce_squared", brute
+        with mock.patch.object(surface, "_tile_search", spy), mock.patch.object(
+            surface, "_BUDGET", budget
         ):
             got = surface._nearest_distances(sites, queries, dims, steps)
         want = _field_values(sites, queries, dims, steps)
         np.testing.assert_array_equal(got, want, strict=True)
-        # the search settled some queries, one w = 8 round most of the rest,
-        # and brute force the far one
-        assert [w for _, w in rounds] == [8]
-        assert leftovers == [1]
-        assert rounds[0][0] < len(queries)
+        # the distance-order search settled the queries within its reach, and
+        # exactly the rest, the plane and the far query among them, were left over
+        assert leftovers == [_beyond_reach(sites, queries, steps)]
+        assert 0 < len(leftovers[0]) < len(queries)
 
     def test_last_level_and_first_leftover(self, monkeypatch):
         levels, _ = surface._offset_levels((1.0, 1.0, 1.0))
         assert levels[-1] == 24.0  # T = 25 is not below itself
-        leftovers = _calls(monkeypatch, "_bruteforce_squared")
+        leftovers = _calls(monkeypatch, "_tile_search")
         sites = np.array([[0, 0, 0]])
         queries = np.array([[4, 2, 2], [4, 3, 0], [2, 4, 2], [0, 0, 5]])
         got = surface._nearest_distances(sites, queries, (9, 9, 9), (1.0, 1.0, 1.0))
@@ -625,8 +657,8 @@ class TestNearestDistances:
             np.testing.assert_array_equal(got, want, strict=True)
 
     def test_a_step_whose_square_overflows(self, rng):
-        # step² = inf: off-site values are inf, which no bound settles below
-        # itself; the spanning window must still end the rounds
+        # step² = inf: off-site values and their bounds are inf, which no
+        # best so far exceeds; the leftover search must still end
         steps = (1e200, 1.0, 1.0)
         dims = (12, 9, 8)
         sites = np.zeros(dims, dtype=bool)
@@ -637,7 +669,7 @@ class TestNearestDistances:
         np.testing.assert_array_equal(got, want, strict=True)
         assert np.isinf(got[queries[:, 0] > 0]).all() and np.isfinite(got).any()
 
-    def test_island_pair_never_runs_the_transform(self, monkeypatch):
+    def test_island_pair_leaves_only_the_island_over(self, monkeypatch):
         dims = (64, 64, 48)
         manual = sphere_bits(dims, (16, 16, 12), 8)
         auto = _ball_with_outlier(dims, (17, 16, 12), 8, (60, 60, 44))
@@ -649,11 +681,67 @@ class TestNearestDistances:
             )
             with monkeypatch.context() as m:
                 m.setattr(surface, "surface_metrics_bruteforce", _must_not_run("brute-force"))
-                m.setattr(surface, "_squared_edt", _must_not_run("windowed transform"))
-                engine = compare_surfaces(a_mask, m_mask, space=space)
+                engine, got, expected = _leftover_calls(a_mask, m_mask, space, m)
             for name in ("hausdorff", "rms", "assd", "mean_distance", "directed_h_am"):
                 assert abs(getattr(engine, name) - getattr(oracle, name)) <= 1e-9
             assert engine.hausdorff == engine.directed_h_am > 40
+            # the balls settle in the distance-order search; the island alone is left over
+            assert got == expected == [[(52, 52, 40)]]
+
+
+@st.composite
+def _site_layouts(draw):
+    """Sites and queries for the leftover search on a box of up to 30³.
+
+    Sites are speckle, some of them one-site groups, plus at times a solid
+    slab that fills whole groups; queries are speckle too, many of them
+    inside a group's box or far from every site, and some lie on sites.
+    Each step is ordinary, or one whose square overflows or underflows.
+    """
+    dims = tuple(draw(st.integers(1, 30)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sites = rng.random(dims) < draw(st.sampled_from((0.0005, 0.005, 0.05)))
+    if draw(st.booleans()):
+        axis = draw(st.integers(0, 2))
+        first = draw(st.integers(0, dims[axis] - 1))
+        slab = [slice(None)] * 3
+        slab[axis] = slice(first, first + draw(st.integers(1, 3)))
+        sites[tuple(slab)] = True
+    sites.flat[rng.integers(sites.size)] = True
+    queries = rng.random(dims) < draw(st.sampled_from((0.002, 0.02, 0.1)))
+    queries |= sites & (rng.random(dims) < 0.05)
+    queries.flat[rng.integers(queries.size)] = True
+    steps = tuple(draw(st.sampled_from((1.0, 0.7, 2.5, 1e200, 1e-200))) for _ in range(3))
+    return np.argwhere(sites), np.argwhere(queries), dims, steps
+
+
+class TestTileSearch:
+    """The leftover search against a plain minimum over every site."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_site_layouts(), st.sampled_from((1, 40, 2000, 1 << 18)))
+    def test_equals_the_plain_minimum_bit_for_bit(self, layout, budget):
+        sites, queries, dims, steps = layout
+        terms = [surface._axis_terms(s * s, n) for s, n in zip(steps, dims)]
+        with mock.patch.object(surface, "_BUDGET", budget):
+            got = surface._tile_search(sites, queries, terms)
+        want = _plain_squared(sites, queries, steps)
+        np.testing.assert_array_equal(got, want, strict=True)
+
+    def test_memory_stays_bounded_against_a_solid_block(self):
+        # 32 groups of 1,728 sites; 20,736 queries 7 to 15 voxels off one face.
+        # A block of 8,192 queries times one group would be 14 M distances.
+        sites = np.argwhere(np.ones((24, 48, 48), dtype=bool))
+        queries = np.argwhere(np.ones((9, 48, 48), dtype=bool)) + np.array([30, 0, 0])
+        terms = [surface._axis_terms(1.0, n) for n in (39, 48, 48)]
+        tracemalloc.start()
+        try:
+            got = surface._tile_search(sites, queries, terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+        np.testing.assert_array_equal(got, (queries[:, 0] - 23.0) ** 2)
 
 
 def _directed_distances(mask_a, mask_r, space):
