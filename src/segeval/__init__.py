@@ -59,7 +59,6 @@ from .volume import (  # noqa: E402
     LabelVolume,
     binarize,
     check_compatible,
-    load_mask_pair,
     load_volume,
 )
 
@@ -93,7 +92,6 @@ __all__ = [
     "extract_surface",
     "f_cdf",
     "group_summary",
-    "load_mask_pair",
     "load_volume",
     "normalized_volume_difference",
     "one_way_anova",

@@ -44,7 +44,7 @@ from .overlap import (
 )
 from .stats import GroupSample, group_summary
 from .surface import compare_surfaces
-from .volume import BinaryMask, BinarizeRule, load_mask_pair, load_mask_pairs
+from .volume import BinaryMask, BinarizeRule, load_mask_pairs
 
 # Canonical metric column order; also the metric names accepted by the
 # ANOVA entry points and used as CSV headers.
@@ -287,15 +287,19 @@ def parse_manifest(path: str | Path) -> list[CaseSpec]:
 def compute_record(case: CaseSpec, config: EvalConfig) -> MetricRecord:
     """Compute all nine metrics for one case; raises on any failure.
 
-    :func:`~segeval.volume.load_mask_pair` streams both files in z-slab
-    chunks, one after the other, and keeps each mask on the bounding box of
-    its own members, so no full-grid array is held. Counts, volumes,
-    surfaces and distances all run on those boxes, as in a cohort job.
+    The pair is the one item of :func:`~segeval.volume.load_mask_pairs`,
+    the loader of a cohort job: both files are streamed in z-slab chunks,
+    one after the other, and each mask is kept on the bounding box of its
+    own members, so no full-grid array is held. Counts, volumes, surfaces
+    and distances all run on those boxes. The pair's error is raised as the
+    loader yields it.
     """
     rule = case.binarize_rule or config.default_rule
-    return _record_from_masks(
-        case, config, *load_mask_pair(case.auto_path, case.manual_path, rule)
-    )
+    # unpacked, so the loader has finished before the record is made
+    (masks,) = load_mask_pairs([(case.auto_path, case.manual_path, rule)])
+    if isinstance(masks, Exception):
+        raise masks
+    return _record_from_masks(case, config, *masks)
 
 
 def _record_from_masks(

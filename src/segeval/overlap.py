@@ -44,10 +44,10 @@ def confusion_counts(a: BinaryMask, m: BinaryMask) -> ConfusionCounts:
     """Tally TP = |A∩M|, FP = |A∖M|, FN = |M∖A|, TN = remainder.
 
     Each mask may cover any box of the common grid: the full grid
-    (:func:`binarize`) or its own members' box (:func:`load_mask_pair`,
-    :func:`load_mask_pairs`). TP is counted where the two boxes overlap,
-    and is 0 where they do not; TN comes from the full grid size, so every
-    placement of the same members gives the same tallies.
+    (:func:`binarize`) or its own members' box (:func:`load_mask_pairs`).
+    TP is counted where the two boxes overlap, and is 0 where they do not;
+    TN comes from the full grid size, so every placement of the same members
+    gives the same tallies.
     """
     check_compatible(a, m)
     ends = ([o + n for o, n in zip(k.origin, k.bits.shape)] for k in (a, m))

@@ -34,7 +34,8 @@ mask. The case pipeline, :func:`load_mask_pairs`, keeps only the box of
 each chunk's members and assembles each file's mask on the bounding box
 of its own members, so no full-grid array is ever built. It decodes one
 file after the other on the calling thread; pairs that share a file share
-its mask. :func:`load_mask_pair` is its single pair.
+its mask. A single case (:func:`segeval.cohort.compute_record`) reads its
+pair as the one item of :func:`load_mask_pairs`.
 
 A chunk's members are found inside the box of its voxels whose stored bits
 are not all zero, taken with ``max`` reductions over an unsigned view of
@@ -116,11 +117,10 @@ class BinaryMask:
 
     ``bits`` covers either the whole grid (:func:`binarize`) or a box of it
     whose lowest corner sits at ``origin``: the bounding box of the mask's
-    own members (:func:`load_mask_pair`, :func:`load_mask_pairs`), empty at
-    ``(0, 0, 0)`` when it has none. Voxels outside the box are non-members.
-    ``dims`` is always the full grid. ``count`` is computed once, so
-    ``bits`` must not change after construction; all three functions hand
-    out read-only arrays.
+    own members (:func:`load_mask_pairs`), empty at ``(0, 0, 0)`` when it
+    has none. Voxels outside the box are non-members. ``dims`` is always the
+    full grid. ``count`` is computed once, so ``bits`` must not change after
+    construction; both functions hand out read-only arrays.
     """
 
     dims: tuple[int, int, int]
@@ -681,21 +681,6 @@ def _decode(path: str, rule: BinarizeRule) -> BinaryMask | Exception:
         return e
 
 
-def load_mask_pair(
-    auto_path: str | Path, manual_path: str | Path, rule: BinarizeRule
-) -> tuple[BinaryMask, BinaryMask]:
-    """Read and binarize a co-registered pair, each mask on the box around its own members.
-
-    The single pair of :func:`load_mask_pairs`: its masks, or its error
-    raised, with no traceback from the decode or the grid check. Pasted at
-    its ``origin``, each mask equals ``binarize(load_volume(path), rule).bits``.
-    """
-    (item,) = load_mask_pairs([(auto_path, manual_path, rule)])
-    if isinstance(item, Exception):
-        raise item
-    return item
-
-
 def load_mask_pairs(
     pairs: Sequence[tuple[str | Path, str | Path, BinarizeRule]],
 ) -> Iterator[tuple[BinaryMask, BinaryMask] | Exception]:
@@ -704,8 +689,12 @@ def load_mask_pairs(
     Each file is decoded chunk by chunk on the calling thread and validated
     completely; only the boxes of each chunk's members are kept, so no full
     grid is ever held. Each mask covers the bounding box of its own file's
-    members. A pair's error is the automatic file's first, then the manual
-    file's, then the grid check's.
+    members; pasted at its ``origin``, it equals
+    ``binarize(load_volume(path), rule).bits``. A pair's error is the
+    automatic file's first, then the manual file's, then the grid check's.
+    It is yielded, not raised: one pair is read as
+    ``(item,) = load_mask_pairs([(auto_path, manual_path, rule)])``, and
+    ``item`` is raised if it is an error.
     Each (path, rule) is decoded once into one read-only mask, which every
     pair reading it gets; the mask, or the file's error, is kept only until
     the last pair that reads it. Errors carry no traceback, nor do the

@@ -20,7 +20,7 @@ from segeval.volume import (
     BinaryMask,
     LabelVolume,
     binarize,
-    load_mask_pair,
+    load_mask_pairs,
     load_volume,
 )
 
@@ -149,7 +149,7 @@ def embed(mask: BinaryMask) -> np.ndarray:
 
 def loaded_pair(root: Path, auto: np.ndarray, manual: np.ndarray, rule: BinarizeRule,
                 spacing=(1.0, 1.0, 1.0)) -> tuple[tuple[BinaryMask, BinaryMask], list[BinaryMask]]:
-    """The masks ``load_mask_pair`` reads from the two arrays written as
+    """The masks ``load_mask_pairs`` reads from the two arrays written as
     rawvol files, and ``binarize(load_volume(path), rule)`` of each file.
 
     Checks the loaded masks against the full-grid ones on the way: each one
@@ -158,7 +158,9 @@ def loaded_pair(root: Path, auto: np.ndarray, manual: np.ndarray, rule: Binarize
     """
     paths = [write_rawvol(Path(root) / f"{role}.rawvol", data, spacing)
              for role, data in (("auto", auto), ("manual", manual))]
-    loaded = load_mask_pair(*paths, rule)
+    (loaded,) = load_mask_pairs([(*paths, rule)])
+    if isinstance(loaded, Exception):
+        raise loaded
     full = [binarize(load_volume(path), rule) for path in paths]
     for mask, whole in zip(loaded, full):
         assert (mask.dims, mask.spacing) == (whole.dims, whole.spacing)

@@ -41,7 +41,6 @@ PUBLIC = [
     "extract_surface",
     "f_cdf",
     "group_summary",
-    "load_mask_pair",
     "load_volume",
     "normalized_volume_difference",
     "one_way_anova",

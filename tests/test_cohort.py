@@ -504,6 +504,31 @@ class TestJobs:
         assert [r.status for r in records] == [first, "ok"]
         assert live == [(0, []), (0, []), (1, []), (1, [])]
 
+    def test_a_single_case_finishes_its_loader_before_the_record(self, tmp_path, monkeypatch):
+        # the loader's generator runs to its end, and so frees what it held,
+        # before any surface work allocates; kept open, it changes the heap
+        # the record step and later decodes see
+        manifest = build_cohort(tmp_path, n_subjects=1, methods=("alpha",),
+                                structures=("left_hippocampus",))
+        (case,) = parse_manifest(manifest)
+        events = []
+        real_load, real_record = cohort.load_mask_pairs, cohort._record_from_masks
+
+        def load(pairs):
+            try:
+                yield from real_load(pairs)
+            finally:
+                events.append("loader finished")
+
+        def record(*args):
+            events.append("record")
+            return real_record(*args)
+
+        monkeypatch.setattr(cohort, "load_mask_pairs", load)
+        monkeypatch.setattr(cohort, "_record_from_masks", record)
+        assert compute_record(case, EvalConfig(threads=1)).status == "ok"
+        assert events == ["loader finished", "record"]
+
     def test_dead_worker_inside_a_job_sinks_only_its_case(self, tmp_path, monkeypatch):
         manifest = build_cohort(tmp_path, n_subjects=2)
         cases = parse_manifest(manifest)

@@ -55,7 +55,6 @@ from segeval.volume import (
     BinarizeRule,
     binarize,
     check_compatible,
-    load_mask_pair,
     load_mask_pairs,
     load_volume,
 )
@@ -63,6 +62,12 @@ from segeval.volume import (
 
 # the attribute segeval.volume is the function overlap.volume, not this module
 volume_module = importlib.import_module("segeval.volume")
+
+
+def _pair_record(auto_path, manual_path, rule=None):
+    """:func:`compute_record` on the case scoring ``auto_path`` against ``manual_path``."""
+    case = CaseSpec("s", "m", "left", str(auto_path), str(manual_path), binarize_rule=rule)
+    return compute_record(case, EvalConfig(threads=1))
 
 
 def _arange_vol(dims, dtype=np.uint8):
@@ -257,7 +262,8 @@ class TestBinarize:
             warnings.simplefilter("error")
             for rule, pair, count in cases:
                 full = [binarize(load_volume(path), rule).count for path in pair]
-                streamed = [mask.count for mask in load_mask_pair(*pair, rule)]
+                (masks,) = load_mask_pairs([(*pair, rule)])
+                streamed = [mask.count for mask in masks]
                 assert full == streamed == [count, count], rule
 
     def test_nonzero_idempotent(self, rng):
@@ -292,7 +298,7 @@ class TestBinarize:
 
 
 class TestBinarizePair:
-    """A pair read by :func:`load_mask_pair`, against ``binarize`` of each full grid."""
+    """A pair read by :func:`load_mask_pairs`, against ``binarize`` of each full grid."""
 
     def test_each_mask_covers_its_own_members_box(self, tmp_path):
         a = np.zeros((10, 9, 8), dtype=np.uint8)
@@ -328,13 +334,13 @@ class TestBinarizePair:
         a = write_rawvol(tmp_path / "a.rawvol", np.ones((4, 4, 4)))
         m = write_rawvol(tmp_path / "m.rawvol", np.ones((4, 4, 5)))
         with pytest.raises(GridMismatch, match=r"\(4,4,4\) vs \(4,4,5\)"):
-            load_mask_pair(a, m, BinarizeRule.nonzero())
+            _pair_record(a, m)
 
     def test_spacing_mismatch_checked_on_the_volumes(self, tmp_path):
         a = write_rawvol(tmp_path / "a.rawvol", np.ones((4, 4, 4)), (0.781, 0.781, 2.0))
         m = write_rawvol(tmp_path / "m.rawvol", np.ones((4, 4, 4)), (0.78, 0.78, 2.0))
         with pytest.raises(SpacingMismatch, match="axis x"):
-            load_mask_pair(a, m, BinarizeRule.nonzero())
+            _pair_record(a, m)
 
 
 @st.composite
@@ -501,7 +507,7 @@ def test_binarizing_follows_the_structure_not_the_grid(tmp_path):
 
     apply_rule = volume_module._apply_rule
     with mock.patch.object(volume_module, "_apply_rule", spy):
-        masks = load_mask_pair(a, m, BinarizeRule.nonzero())
+        (masks,) = load_mask_pairs([(a, m, BinarizeRule.nonzero())])
     assert [mask.count for mask in masks] == [auto.sum(), manual.sum()]
     # per file, one zero-value probe, then each chunk's nonzero box alone;
     # the calling thread decodes the automatic file, then the manual one
@@ -524,7 +530,7 @@ def test_binarizing_follows_the_structure_not_the_grid(tmp_path):
 
     chunk_mib = dims[0] * dims[1] * slabs / 2**20
     _, decoder = _peak_mib(decode, a, m)
-    _, peak = _peak_mib(load_mask_pair, a, m, BinarizeRule.nonzero())
+    _, peak = _peak_mib(list, load_mask_pairs([(a, m, BinarizeRule.nonzero())]))
     assert peak < decoder + chunk_mib / 2
     assert peak < 2
     assert peak < auto.nbytes / 2**20
@@ -545,7 +551,7 @@ def test_a_chunk_of_zero_bytes_is_never_boxed(tmp_path):
         return real(a)
 
     with mock.patch.object(volume_module, "_nonzero_box", spy):
-        mask, _ = load_mask_pair(path, path, BinarizeRule.nonzero())
+        ((mask, _),) = load_mask_pairs([(path, path, BinarizeRule.nonzero())])
     assert mask.count == grid.sum()
     assert stored == [True] * len(_nonzero_boxes(grid, volume_module._CHUNK_SLABS))
 
@@ -632,12 +638,11 @@ def test_shared_pairs_drop_each_file_after_its_last_use(tmp_path, manual):
         assert (live(decoded), live(opened)) == ([], [])
         assert next(shared, None) is None
     for kept, pair in zip(got, pairs):
+        (alone,) = load_mask_pairs([pair])
         if isinstance(kept, Exception):
-            with pytest.raises(CorruptFile) as raised:
-                load_mask_pair(*pair)
-            assert (type(kept), str(kept)) == (CorruptFile, str(raised.value))
+            assert (type(kept), type(alone), str(kept)) == (CorruptFile, CorruptFile, str(alone))
             continue
-        for (origin, bits), want in zip(kept, load_mask_pair(*pair)):
+        for (origin, bits), want in zip(kept, alone):
             assert origin == want.origin
             assert np.array_equal(bits, want.bits)
     assert [isinstance(kept, Exception) for kept in got] == (
@@ -658,10 +663,10 @@ def test_a_pair_reading_one_file_decodes_it_once(tmp_path, monkeypatch):
             super().__init__(path)
 
     monkeypatch.setattr(volume_module, "_VolumeFile", CountingFile)
-    mask_a, mask_m = load_mask_pair(path, str(path), BinarizeRule.nonzero())
+    ((mask_a, mask_m),) = load_mask_pairs([(path, str(path), BinarizeRule.nonzero())])
     assert opened == [str(path)]
     assert mask_a.count == mask_m.count > 0
-    load_mask_pair(path, other, BinarizeRule.nonzero())
+    list(load_mask_pairs([(path, other, BinarizeRule.nonzero())]))
     assert opened[1:] == [str(path), str(other)]
 
 
@@ -699,7 +704,7 @@ def test_a_failed_pair_raises_what_the_shared_route_yields(tmp_path, case):
     a, m = _pair_files(tmp_path, case)
     rule = BinarizeRule.nonzero()
     with pytest.raises(SegEvalError) as raised:
-        load_mask_pair(a, m, rule)
+        _pair_record(a, m, rule)
     (want,) = load_mask_pairs([(a, m, rule)])
     error = raised.value
     assert (type(error), str(error)) == (type(want), str(want))
@@ -711,7 +716,7 @@ def test_a_failed_pair_raises_what_the_shared_route_yields(tmp_path, case):
     }[case])
     # no frame of the decode or of the grid check is kept, nor a chained one
     frames = [frame.f_code.co_name for frame, _ in traceback.walk_tb(error.__traceback__)]
-    assert frames[-1] == "load_mask_pair"
+    assert frames[-1] == "compute_record"
     chained = []
     link = error.__cause__ or error.__context__
     while link is not None:
@@ -721,7 +726,7 @@ def test_a_failed_pair_raises_what_the_shared_route_yields(tmp_path, case):
     assert all(e.__traceback__ is None for e in chained)
 
 
-@pytest.mark.parametrize("loader", ["load_mask_pair", "load_mask_pairs", "evaluate_cohort"])
+@pytest.mark.parametrize("loader", ["compute_record", "load_mask_pairs", "evaluate_cohort"])
 @pytest.mark.parametrize("file", ["auto", "manual"])
 def test_an_interrupt_in_a_decode_is_raised_as_itself(tmp_path, monkeypatch, loader, file):
     # never an error item, nor an error record
@@ -736,8 +741,8 @@ def test_an_interrupt_in_a_decode_is_raised_as_itself(tmp_path, monkeypatch, loa
 
     monkeypatch.setattr(volume_module, "_members", members)
     with pytest.raises(KeyboardInterrupt, match="stop"):
-        if loader == "load_mask_pair":
-            load_mask_pair(a, m, rule)
+        if loader == "compute_record":
+            _pair_record(a, m, rule)
         elif loader == "load_mask_pairs":
             list(load_mask_pairs([(a, a, rule), (a, m, rule)]))
         else:
@@ -752,7 +757,7 @@ def _corrupt_crc(blob: bytes) -> bytes:
     return bytes(blob)
 
 
-@pytest.mark.parametrize("reader", ["load_volume", "load_mask_pair"])
+@pytest.mark.parametrize("reader", ["load_volume", "compute_record"])
 @pytest.mark.parametrize(
     "defect",
     [_corrupt_crc, lambda b: b[: len(b) // 2], lambda b: b[:-4]],
@@ -765,7 +770,7 @@ def test_corrupt_gzip_stream(tmp_path, reader, defect):
         if reader == "load_volume":
             load_volume(path)
         else:
-            load_mask_pair(path, path, BinarizeRule.nonzero())
+            _pair_record(path, path)
 
 
 @pytest.mark.parametrize("writer", [write_nifti, write_rawvol])
@@ -930,7 +935,7 @@ def _spoiled_member(defect: str) -> bytes:
     return bytes(blob)
 
 
-@pytest.mark.parametrize("reader", ["load_volume", "load_mask_pair"])
+@pytest.mark.parametrize("reader", ["load_volume", "compute_record"])
 @pytest.mark.parametrize("defect, reason", [
     ("method", "unknown compression method"),
     ("flags", "unknown header flags set"),
@@ -949,7 +954,7 @@ def test_a_bad_gzip_member_fails_with_zlib_s_reason(tmp_path, reader, defect, re
         if reader == "load_volume":
             load_volume(path)
         else:
-            load_mask_pair(path, path, BinarizeRule.nonzero())
+            _pair_record(path, path)
     assert str(raised.value) == f"{path}: bad gzip stream ({oracle.value})"
 
 
@@ -972,7 +977,7 @@ def test_huge_declared_grid_with_a_short_payload_is_corrupt(tmp_path, gzipped):
     with pytest.raises(CorruptFile, match="payload has 8 bytes"):
         load_volume(path)
     with pytest.raises(CorruptFile, match="payload has 8 bytes"):
-        load_mask_pair(path, path, BinarizeRule.nonzero())
+        _pair_record(path, path)
 
 
 def test_vox_offset_beyond_the_header(tmp_path):
@@ -1042,11 +1047,16 @@ def _outcome(fn):
         return (type(e), str(e))
 
 
-def _full_grid_masks(auto_path, manual_path, rule):
-    """Both files' full-grid masks, with errors in :func:`load_mask_pair`'s order."""
-    vols = [load_volume(auto_path), load_volume(manual_path)]
-    check_compatible(*vols)
-    return tuple(binarize(vol, rule) for vol in vols)
+def _full_grid_masks(pairs):
+    """Each pair's two full-grid masks, or its error in :func:`load_mask_pairs`' order."""
+    for auto_path, manual_path, rule in pairs:
+        try:
+            vols = [load_volume(auto_path), load_volume(manual_path)]
+            check_compatible(*vols)
+            item = tuple(binarize(vol, rule) for vol in vols)
+        except Exception as e:  # noqa: BLE001 - the pair's outcome, as the loader yields it
+            item = e
+        yield item
 
 
 def _ball_pair_across_chunks():
@@ -1125,16 +1135,15 @@ def test_streamed_pair_equals_the_full_grid_route(example):
         config = EvalConfig(threads=1)
         got = _outcome(lambda: asdict(compute_record(case, config)))
         # the same record from full-grid masks, or the same error
-        with mock.patch.object(cohort_module, "load_mask_pair", _full_grid_masks):
+        with mock.patch.object(cohort_module, "load_mask_pairs", _full_grid_masks):
             want = _outcome(lambda: asdict(compute_record(case, config)))
         assert got == want
 
         if special == "nan":
             # the automatic file's error is reported first
             message = f"{a if np.isnan(auto).any() else m}: volume holds NaN voxels"
-            with pytest.raises(CorruptFile) as err:
-                load_mask_pair(a, m, rule)
-            assert str(err.value) == message
+            (error,) = load_mask_pairs([(a, m, rule)])
+            assert (type(error), str(error)) == (CorruptFile, message)
             assert got == (CorruptFile, message)
             return
 
@@ -1142,7 +1151,8 @@ def test_streamed_pair_equals_the_full_grid_route(example):
         # each one's members, with no box code in between
         vols = [load_volume(path) for path in (a, m)]
         want_bits = [binarize(vol, rule).bits for vol in vols]
-        for mask, vol, bits in zip(load_mask_pair(a, m, rule), vols, want_bits):
+        (masks,) = load_mask_pairs([(a, m, rule)])
+        for mask, vol, bits in zip(masks, vols, want_bits):
             assert (mask.dims, mask.spacing) == (vol.dims, vol.spacing)
             assert (mask.origin, mask.bits.shape) == member_box(bits)
             assert mask.bits.dtype == bool and mask.bits.flags.c_contiguous
