@@ -21,10 +21,8 @@ from .cohort import (  # noqa: E402
 )
 from .overlap import (  # noqa: E402
     ConfusionCounts,
-    VolumePair,
     confusion_counts,
     dice,
-    normalized_volume_difference,
     precision,
     ravd,
     sensitivity,
@@ -79,7 +77,6 @@ __all__ = [
     "SummaryStats",
     "SurfaceDistanceResult",
     "SurfacePointSet",
-    "VolumePair",
     "anova_for_metric",
     "betainc_regularized",
     "binarize",
@@ -93,7 +90,6 @@ __all__ = [
     "f_cdf",
     "group_summary",
     "load_volume",
-    "normalized_volume_difference",
     "one_way_anova",
     "parse_manifest",
     "precision",

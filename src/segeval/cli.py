@@ -18,6 +18,7 @@ import sys
 from dataclasses import asdict
 
 from .cohort import (
+    CONFIG_CHOICES,
     CaseSpec,
     EvalConfig,
     compute_record,
@@ -36,9 +37,9 @@ from .volume import BinarizeRule
 
 
 def _add_space_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--space", choices=("index", "physical"), default="index")
-    p.add_argument("--connectivity", type=int, choices=(6, 26), default=6)
-    p.add_argument("--unit", choices=("mm3", "voxels"), default="mm3")
+    p.add_argument("--space", choices=CONFIG_CHOICES["space"], default="index")
+    p.add_argument("--connectivity", type=int, choices=CONFIG_CHOICES["connectivity"], default=6)
+    p.add_argument("--unit", choices=CONFIG_CHOICES["unit"], default="mm3")
     p.add_argument(
         "--label",
         type=_label_rule,
@@ -129,9 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", help="cohort manifest (.csv or .jsonl)")
     p.add_argument("out_dir", help="directory for the report bundle")
     _add_space_flags(p)
-    p.add_argument(
-        "--pooling", choices=("observation", "subject"), default="observation"
-    )
+    p.add_argument("--pooling", choices=CONFIG_CHOICES["pooling"], default="observation")
     p.add_argument(
         "--threads",
         type=_positive_int,
@@ -143,9 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("anova", help="recompute ANOVA from a metrics CSV")
     p.add_argument("metrics_csv")
     p.add_argument("metric", help="one of the nine metric column names")
-    p.add_argument(
-        "--pooling", choices=("observation", "subject"), default="observation"
-    )
+    p.add_argument("--pooling", choices=CONFIG_CHOICES["pooling"], default="observation")
     p.set_defaults(func=_cmd_anova)
 
     p = sub.add_parser("subgroup", help="field-strength comparison from a metrics CSV")

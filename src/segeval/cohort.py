@@ -33,7 +33,6 @@ from .errors import (
     UnknownStructure,
 )
 from .overlap import (
-    VolumePair,
     confusion_counts,
     dice,
     precision,
@@ -81,7 +80,7 @@ class CaseSpec:
     binarize_rule: BinarizeRule | None = None
 
 
-_CONFIG_CHOICES = {
+CONFIG_CHOICES = {
     "space": ("index", "physical"),
     "connectivity": (6, 26),
     "unit": ("mm3", "voxels"),
@@ -91,7 +90,7 @@ _CONFIG_CHOICES = {
 
 @dataclass(frozen=True)
 class EvalConfig:
-    space: str = "index"  # each of these four is one of its _CONFIG_CHOICES
+    space: str = "index"  # each of these four is one of its CONFIG_CHOICES
     connectivity: int = 6
     unit: str = "mm3"
     pooling: str = "observation"
@@ -100,7 +99,7 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         """Reject a field outside its legal values, before any case is decoded."""
-        for name, legal in _CONFIG_CHOICES.items():
+        for name, legal in CONFIG_CHOICES.items():
             value = getattr(self, name)
             # by type too: True == 1 and 6.0 == 6 would change config_hash
             if not any(type(value) is type(v) and value == v for v in legal):
@@ -291,8 +290,10 @@ def compute_record(case: CaseSpec, config: EvalConfig) -> MetricRecord:
     the loader of a cohort job: both files are streamed in z-slab chunks,
     one after the other, and each mask is kept on the bounding box of its
     own members, so no full-grid array is held. Counts, volumes, surfaces
-    and distances all run on those boxes. The pair's error is raised as the
-    loader yields it.
+    and distances all run on those boxes. A file's error is raised as the
+    loader yields it: the automatic file's first, then the manual file's.
+    The grids are checked once, by
+    :func:`~segeval.overlap.confusion_counts`, the first step of the record.
     """
     rule = case.binarize_rule or config.default_rule
     # unpacked, so the loader has finished before the record is made
@@ -305,10 +306,9 @@ def compute_record(case: CaseSpec, config: EvalConfig) -> MetricRecord:
 def _record_from_masks(
     case: CaseSpec, config: EvalConfig, mask_a: BinaryMask, mask_m: BinaryMask
 ) -> MetricRecord:
-    counts = confusion_counts(mask_a, mask_m)
+    counts = confusion_counts(mask_a, mask_m)  # the grid check, before any other error
     v_auto = volume(mask_a, config.unit)
     v_manual = volume(mask_m, config.unit)
-    pair = VolumePair(v_auto=v_auto, v_manual=v_manual, unit=config.unit)
     surf = compare_surfaces(
         mask_a, mask_m, space=config.space, connectivity=config.connectivity
     )
@@ -327,7 +327,7 @@ def _record_from_masks(
         assd=surf.assd,
         mean_distance=surf.mean_distance,
         sensitivity=sensitivity(counts),
-        ravd=ravd(pair),
+        ravd=ravd(v_auto, v_manual),
         v_auto=v_auto,
         v_manual=v_manual,
     )

@@ -1,7 +1,8 @@
 """Voxel-overlap and volume agreement metrics.
 
 All scores are ratios of the four confusion tallies between an automatic
-mask A and a manual (ground-truth) mask M on a common grid. Degenerate
+mask A and a manual (ground-truth) mask M on a common grid, which
+:func:`confusion_counts` checks: a case's one grid check. Degenerate
 inputs raise instead of returning sentinel scores: an empty hippocampus in
 this pipeline signals a bug, not a 0.0.
 """
@@ -31,15 +32,6 @@ class ConfusionCounts:
     tn: int
 
 
-@dataclass(frozen=True)
-class VolumePair:
-    """Automatic and manual volumes in a common unit."""
-
-    v_auto: float
-    v_manual: float
-    unit: str  # "voxels" | "mm3"
-
-
 def confusion_counts(a: BinaryMask, m: BinaryMask) -> ConfusionCounts:
     """Tally TP = |A∩M|, FP = |A∖M|, FN = |M∖A|, TN = remainder.
 
@@ -47,7 +39,9 @@ def confusion_counts(a: BinaryMask, m: BinaryMask) -> ConfusionCounts:
     (:func:`binarize`) or its own members' box (:func:`load_mask_pairs`).
     TP is counted where the two boxes overlap, and is 0 where they do not;
     TN comes from the full grid size, so every placement of the same members
-    gives the same tallies.
+    gives the same tallies. The grids are checked first, by
+    :func:`check_compatible`: a case's one grid check, so a grid or spacing
+    mismatch is raised before any empty-mask error.
     """
     check_compatible(a, m)
     ends = ([o + n for o, n in zip(k.origin, k.bits.shape)] for k in (a, m))
@@ -104,18 +98,15 @@ def volume(mask: BinaryMask, unit: str = "mm3") -> float:
     raise ValueError(f"unknown volume unit {unit!r}")
 
 
-def ravd(v: VolumePair) -> float:
+def ravd(v_auto: float, v_manual: float) -> float:
     """Signed relative volume difference (V_A − V_M) / V_M.
 
     Negative when the automatic segmentation is smaller than the manual
-    one. The ratio is unit-invariant.
+    one. Both volumes must be in one unit; the ratio is unit-invariant.
+    Its absolute value is the normalized volume difference that
+    ``volumes.csv`` prints.
     """
-    if v.v_manual <= 0:
-        raise ZeroManualVolume(f"manual volume {v.v_manual} must be positive")
-    return (v.v_auto - v.v_manual) / v.v_manual
-
-
-def normalized_volume_difference(v: VolumePair) -> float:
-    """|V_A − V_M| / V_M, the unsigned variant of the volume ratio."""
-    return abs(ravd(v))
+    if v_manual <= 0:
+        raise ZeroManualVolume(f"manual volume {v_manual} must be positive")
+    return (v_auto - v_manual) / v_manual
 

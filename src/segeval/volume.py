@@ -35,7 +35,9 @@ each chunk's members and assembles each file's mask on the bounding box
 of its own members, so no full-grid array is ever built. It decodes one
 file after the other on the calling thread; pairs that share a file share
 its mask. A single case (:func:`segeval.cohort.compute_record`) reads its
-pair as the one item of :func:`load_mask_pairs`.
+pair as the one item of :func:`load_mask_pairs`. The loader does not
+compare the two grids: :func:`check_compatible` runs once per case, in
+:func:`segeval.overlap.confusion_counts`.
 
 A chunk's members are found inside the box of its voxels whose stored bits
 are not all zero, taken with ``max`` reductions over an unsigned view of
@@ -677,8 +679,8 @@ def _decode(path: str, rule: BinarizeRule) -> BinaryMask | Exception:
     """The mask of the file at ``path`` under ``rule``, or the error its decode raised."""
     try:
         return _members(_VolumeFile(path), rule)
-    except Exception as e:  # noqa: BLE001 - the file's outcome, raised by each pair reading it
-        return e
+    except Exception as e:  # noqa: BLE001 - the file's outcome, yielded to each pair reading it
+        return _bare(e)
 
 
 def load_mask_pairs(
@@ -691,15 +693,16 @@ def load_mask_pairs(
     grid is ever held. Each mask covers the bounding box of its own file's
     members; pasted at its ``origin``, it equals
     ``binarize(load_volume(path), rule).bits``. A pair's error is the
-    automatic file's first, then the manual file's, then the grid check's.
-    It is yielded, not raised: one pair is read as
+    automatic file's first, then the manual file's. The two grids are not
+    compared here: :func:`segeval.overlap.confusion_counts` checks them.
+    The error is yielded, not raised: one pair is read as
     ``(item,) = load_mask_pairs([(auto_path, manual_path, rule)])``, and
     ``item`` is raised if it is an error.
     Each (path, rule) is decoded once into one read-only mask, which every
     pair reading it gets; the mask, or the file's error, is kept only until
     the last pair that reads it. Errors carry no traceback, nor do the
-    exceptions chained to them: their frames would keep a pair's masks and
-    a failed decoder's bytes alive for as long as the error is.
+    exceptions chained to them: their frames would keep a failed decoder's
+    bytes alive for as long as the error is.
     """
     keys = [((str(a), rule), (str(m), rule)) for a, m, rule in pairs]
     last = {key: i for i, pair in enumerate(keys) for key in pair}
@@ -713,16 +716,10 @@ def load_mask_pairs(
 
 
 def _take_pair(held: dict, pair: tuple, done: list) -> tuple[BinaryMask, BinaryMask] | Exception:
-    """The masks ``held`` under the two keys of ``pair``, or the pair's error;
-    the keys in ``done`` are then dropped from ``held``."""
-    try:
-        for key in pair:
-            if isinstance(held[key], Exception):
-                raise held[key]
-        item = held[pair[0]], held[pair[1]]
-        check_compatible(*item)
-    except Exception as e:  # noqa: BLE001 - the pair's outcome
-        item = _bare(e)  # a kept file error too: it is the object raised
+    """The masks ``held`` under the two keys of ``pair``, or the first of them
+    that is an error; the keys in ``done`` are then dropped from ``held``."""
+    a, m = (held[key] for key in pair)
+    item = a if isinstance(a, Exception) else m if isinstance(m, Exception) else (a, m)
     for key in done:
         held.pop(key, None)
     return item
@@ -743,6 +740,8 @@ def check_compatible(a: BinaryMask | LabelVolume, m: BinaryMask | LabelVolume) -
     Dims must match exactly; per-axis spacing must agree within a relative
     tolerance of ``SPACING_RTOL``. Both failures are fatal because voxelwise
     tallies and physical-space distances would otherwise be ill-defined.
+    A case runs it once, as the first step of
+    :func:`segeval.overlap.confusion_counts`.
     """
     if a.dims != m.dims:
         raise GridMismatch(f"{_format_dims(a.dims)} vs {_format_dims(m.dims)}")

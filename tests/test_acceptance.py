@@ -25,10 +25,8 @@ from helpers import build_cohort, enumerate_confusion, make_mask, random_bits
 from segeval.cli import main as cli_main
 from segeval.cohort import EvalConfig, evaluate_cohort, parse_manifest
 from segeval.overlap import (
-    VolumePair,
     confusion_counts,
     dice,
-    normalized_volume_difference,
     precision,
     ravd,
     sensitivity,
@@ -146,8 +144,8 @@ def test_criterion_03_overlap_oracle_equivalence(rng):
             assert precision(c) == tp / (tp + fp)
             assert sensitivity(c) == tp / (tp + fn)
             assert similarity(c) == tp / (tp + fp + fn)
-            pair = VolumePair(volume(a, "voxels"), volume(m, "voxels"), "voxels")
-            assert ravd(pair) == ((tp + fp) - (tp + fn)) / (tp + fn)
+            v_auto, v_manual = volume(a, "voxels"), volume(m, "voxels")
+            assert ravd(v_auto, v_manual) == ((tp + fp) - (tp + fn)) / (tp + fn)
         assert time.perf_counter() - t0 < 5.0
 
 
@@ -197,7 +195,7 @@ def test_printed_rows_consistent_after_rounding():
 def test_criterion_06_reported_volume_regression():
     with criterion(6, "24 reported volume triples reproduce normalized difference ± 0.005"):
         for v_auto, v_manual, printed in REPORTED_VOLUME_TRIPLES:
-            value = normalized_volume_difference(VolumePair(v_auto, v_manual, "mm3"))
+            value = abs(ravd(v_auto, v_manual))
             assert value == pytest.approx(printed, abs=0.005)
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import segeval
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "segeval"
 
 PUBLIC = [
     "__version__",
@@ -28,7 +29,6 @@ PUBLIC = [
     "SummaryStats",
     "SurfaceDistanceResult",
     "SurfacePointSet",
-    "VolumePair",
     "anova_for_metric",
     "betainc_regularized",
     "binarize",
@@ -42,7 +42,6 @@ PUBLIC = [
     "f_cdf",
     "group_summary",
     "load_volume",
-    "normalized_volume_difference",
     "one_way_anova",
     "parse_manifest",
     "precision",
@@ -87,6 +86,24 @@ def test_every_name_the_benchmark_imports_exists():
                for pair in _segeval_imports(path)]
     assert {"measure.py", "run.py"} <= {name for name, _, _ in imports}
     assert [entry for entry in imports if not _resolves(*entry[1:])] == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a name that another module needs is public in its own module
+    imports = [
+        (path.name, "." * node.level + (node.module or ""), alias.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "segeval")
+        for alias in node.names
+    ]
+    assert ("cli.py", ".cohort", "EvalConfig") in imports  # relative imports are seen
+    assert [entry for entry in imports if _private(entry[2])] == []
 
 
 def test_version_is_the_project_version():

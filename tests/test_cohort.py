@@ -37,6 +37,7 @@ from segeval.volume import BinarizeRule
 
 # the package's ``volume`` attribute is the function overlap.volume
 volume_module = importlib.import_module("segeval.volume")
+overlap_module = importlib.import_module("segeval.overlap")
 
 
 def _write_manifest(path, lines):
@@ -414,6 +415,26 @@ class TestJobs:
         assert sorted(opened) == distinct
         assert [r.status for r in dirty] == ["error"] * 3 + ["ok"] * 9
         assert dirty[3:] == clean[3:]
+
+    def test_each_case_checks_its_grids_once(self, tmp_path, monkeypatch):
+        manifest = build_cohort(tmp_path, n_subjects=1, structures=("left_hippocampus",))
+        cases = parse_manifest(manifest)  # 3 methods against one manual file
+        config = EvalConfig(threads=1)
+        calls = []
+        real = volume_module.check_compatible
+
+        def counting(a, m):
+            calls.append(None)
+            return real(a, m)
+
+        # through either module's name
+        monkeypatch.setattr(volume_module, "check_compatible", counting)
+        monkeypatch.setattr(overlap_module, "check_compatible", counting)
+        assert compute_record(cases[0], config).status == "ok"
+        assert len(calls) == 1
+        calls.clear()
+        assert [r.status for r in cohort._evaluate_job(cases, config)] == ["ok"] * 3
+        assert len(calls) == 3
 
     def test_one_shared_template_spreads_over_workers(self, tmp_path, monkeypatch):
         manifest = build_cohort(tmp_path / "cohort", n_subjects=2)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from helpers import embed, enumerate_confusion, loaded_pair, make_mask, random_b
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from segeval.cohort import LEFT, RIGHT, EvalConfig, MetricRecord
 from segeval.errors import (
     BothMasksEmpty,
     EmptyAutomaticMask,
@@ -16,16 +18,15 @@ from segeval.errors import (
 )
 from segeval.overlap import (
     ConfusionCounts,
-    VolumePair,
     confusion_counts,
     dice,
-    normalized_volume_difference,
     precision,
     ravd,
     sensitivity,
     similarity,
     volume,
 )
+from segeval.reporting import volumes_csv_text
 from segeval.volume import BinarizeRule, BinaryMask
 
 counts_nonempty = st.tuples(
@@ -215,36 +216,45 @@ class TestVolume:
 
 class TestRavd:
     def test_table_subject1_left(self):
-        assert ravd(VolumePair(3318.19, 2863.16, "mm3")) == pytest.approx(0.1589, abs=5e-5)
+        assert ravd(3318.19, 2863.16) == pytest.approx(0.1589, abs=5e-5)
 
     def test_equal_volumes(self):
-        assert ravd(VolumePair(123.4, 123.4, "mm3")) == 0.0
+        assert ravd(123.4, 123.4) == 0.0
 
     def test_table_subject2_left_negative(self):
-        assert ravd(VolumePair(2921.71, 3114.46, "mm3")) == pytest.approx(-0.0619, abs=5e-5)
+        assert ravd(2921.71, 3114.46) == pytest.approx(-0.0619, abs=5e-5)
 
     def test_zero_manual(self):
         with pytest.raises(ZeroManualVolume):
-            ravd(VolumePair(5.0, 0.0, "voxels"))
+            ravd(5.0, 0.0)
 
     def test_unit_invariance(self):
         scale = 0.781 * 0.781 * 2.0
-        assert ravd(VolumePair(30.0, 40.0, "voxels")) == pytest.approx(
-            ravd(VolumePair(30.0 * scale, 40.0 * scale, "mm3")), abs=1e-15
-        )
+        assert ravd(30.0, 40.0) == pytest.approx(ravd(30.0 * scale, 40.0 * scale), abs=1e-15)
 
 
 class TestNormalizedVolumeDifference:
+    """``volumes.csv`` prints |RAVD| as each side's normalized volume difference."""
+
     def test_printed_two_decimals(self):
-        assert round(normalized_volume_difference(VolumePair(3318.19, 2863.16, "mm3")), 2) == 0.16
-        assert round(normalized_volume_difference(VolumePair(2921.71, 3114.46, "mm3")), 2) == 0.06
+        assert round(abs(ravd(3318.19, 2863.16)), 2) == 0.16
+        assert round(abs(ravd(2921.71, 3114.46)), 2) == 0.06
 
     def test_equal(self):
-        assert normalized_volume_difference(VolumePair(9.0, 9.0, "voxels")) == 0.0
+        assert abs(ravd(9.0, 9.0)) == 0.0
 
     def test_is_absolute_ravd(self):
-        pair = VolumePair(2921.71, 3114.46, "mm3")
-        assert normalized_volume_difference(pair) == abs(ravd(pair))
+        records = [
+            MetricRecord(subject="s1", method="alpha", structure=structure, field_strength=None,
+                         space="index", status="ok", ravd=ravd(v_auto, v_manual),
+                         v_auto=v_auto, v_manual=v_manual)
+            for structure, v_auto, v_manual in ((LEFT, 2921.71, 3114.46),
+                                                (RIGHT, 3318.19, 2863.16))
+        ]
+        lines = volumes_csv_text(records, EvalConfig()).splitlines()
+        (row,) = csv.DictReader(lines[1:])
+        assert row["left_norm_diff"] == f"{abs(ravd(2921.71, 3114.46)):.4f}" == "0.0619"
+        assert row["right_norm_diff"] == f"{abs(ravd(3318.19, 2863.16)):.4f}" == "0.1589"
 
 
 class TestIdentities:
@@ -295,5 +305,5 @@ class TestIdentities:
                 assert sensitivity(c_am) == precision(c_ma)
 
     def test_ravd_lower_bound(self):
-        assert ravd(VolumePair(0.0, 10.0, "voxels")) == -1.0
+        assert ravd(0.0, 10.0) == -1.0
 

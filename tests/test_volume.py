@@ -53,6 +53,7 @@ from segeval.errors import (
 from segeval.overlap import confusion_counts
 from segeval.volume import (
     BinarizeRule,
+    BinaryMask,
     binarize,
     check_compatible,
     load_mask_pairs,
@@ -707,16 +708,23 @@ def test_a_failed_pair_raises_what_the_shared_route_yields(tmp_path, case):
         _pair_record(a, m, rule)
     (want,) = load_mask_pairs([(a, m, rule)])
     error = raised.value
-    assert (type(error), str(error)) == (type(want), str(want))
     assert str(error).startswith({
         "bad-auto": f"{a}: bad gzip stream", "both-bad": f"{a}: bad gzip stream",
         "truncated-manual": f"{m}: bad gzip stream", "flipped-manual": f"{m}: bad gzip stream",
         "nan-manual": f"{m}: volume holds NaN voxels", "grid": "(12,12,12) vs (12,12,13)",
         "spacing": "spacing (1.0, 1.0, 1.0) vs (1.0, 1.0, 1.5)",
     }[case])
-    # no frame of the decode or of the grid check is kept, nor a chained one
     frames = [frame.f_code.co_name for frame, _ in traceback.walk_tb(error.__traceback__)]
-    assert frames[-1] == "compute_record"
+    if case in ("grid", "spacing"):
+        # the loader yields the masks; the case's one grid check is confusion_counts'
+        assert [type(mask) for mask in want] == [BinaryMask, BinaryMask]
+        assert type(error) is {"grid": GridMismatch, "spacing": SpacingMismatch}[case]
+        assert frames[-2:] == ["confusion_counts", "check_compatible"]
+    else:
+        # the file's error as the loader yields it, with no frame of the decode
+        assert (type(error), str(error)) == (type(want), str(want))
+        assert frames[-1] == "compute_record"
+    # nor a chained one
     chained = []
     link = error.__cause__ or error.__context__
     while link is not None:
@@ -1051,12 +1059,26 @@ def _full_grid_masks(pairs):
     """Each pair's two full-grid masks, or its error in :func:`load_mask_pairs`' order."""
     for auto_path, manual_path, rule in pairs:
         try:
-            vols = [load_volume(auto_path), load_volume(manual_path)]
-            check_compatible(*vols)
-            item = tuple(binarize(vol, rule) for vol in vols)
+            item = tuple(binarize(load_volume(path), rule) for path in (auto_path, manual_path))
         except Exception as e:  # noqa: BLE001 - the pair's outcome, as the loader yields it
             item = e
         yield item
+
+
+def _rule_on_written(data, nifti, write, rule):
+    """The rule on the array handed to the writer, in float64: no code of the
+    decoder runs. A NIfTI file's scale factors come first, unless its slope
+    is 0 (no scaling) or they are (1, 0)."""
+    values = np.asarray(data, dtype=np.float64)
+    if nifti:
+        slope, inter = write["scl_slope"], write["scl_inter"]
+        if slope != 0 and (slope, inter) != (1, 0):
+            values = values * slope + inter
+    if rule.kind == "equals":
+        return values == rule.value
+    if rule.kind == "greater_than":
+        return values > rule.value
+    return values != 0
 
 
 def _ball_pair_across_chunks():
@@ -1152,12 +1174,15 @@ def test_streamed_pair_equals_the_full_grid_route(example):
         vols = [load_volume(path) for path in (a, m)]
         want_bits = [binarize(vol, rule).bits for vol in vols]
         (masks,) = load_mask_pairs([(a, m, rule)])
-        for mask, vol, bits in zip(masks, vols, want_bits):
+        for mask, vol, bits, data in zip(masks, vols, want_bits, (auto, manual)):
             assert (mask.dims, mask.spacing) == (vol.dims, vol.spacing)
             assert (mask.origin, mask.bits.shape) == member_box(bits)
             assert mask.bits.dtype == bool and mask.bits.flags.c_contiguous
             assert not mask.bits.flags.writeable
             np.testing.assert_array_equal(embed(mask), bits, strict=True)
+            # and against an oracle that shares no code with the decoder
+            written = _rule_on_written(data, nifti, write, rule)
+            np.testing.assert_array_equal(embed(mask), written, strict=True)
 
 
 # header fields the fuzz rewrites: byte offset and struct code of each
